@@ -466,14 +466,8 @@ def _pool_observed(simulation: SchedulerSimulation) -> Dict[str, float]:
     if pool is None:
         return {}
     return {
-        "power.granted_nj": pool.granted_nj,
-        "power.refunded_nj": pool.refunded_nj,
-        "power.consumed_nj": pool.consumed_nj,
-        "power.grants": float(pool.grants),
-        "power.refunds": float(pool.refunds),
-        "power.throttled": float(pool.throttled),
-        "power.degraded": float(pool.degraded),
-        "power.overdrafts": float(pool.overdrafts),
+        f"power.{name}": float(value)
+        for name, value in pool.gauges().items()
     }
 
 

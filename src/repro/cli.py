@@ -459,12 +459,9 @@ def _add_telemetry_args(
     note = (" (the policy name is inserted before the suffix, like "
             "--trace)" if per_policy else "")
     parser.add_argument("--telemetry-out", metavar="PATH",
-                        help="append chunk-boundary JSONL telemetry "
-                             "samples here" + note)
-    parser.add_argument("--telemetry-every", type=int, default=1000,
-                        help="completions between samples "
-                             "(default: 1000; the streaming engine "
-                             "samples at every arrival-buffer refill)")
+                        help="append JSONL telemetry samples here, "
+                             "one per chunk of arrivals plus a final "
+                             "one" + note)
     parser.add_argument("--sampled-trace", metavar="PATH",
                         help="write every Nth dispatch/completion as a "
                              "typed trace event (sampled=true) here"
@@ -585,7 +582,6 @@ def _make_telemetry(args, *, label: str = "", policy: str = None):
     return Telemetry(
         out=_route(args.telemetry_out),
         trace_out=_route(args.sampled_trace),
-        sample_every=args.telemetry_every,
         trace_every=args.sampled_trace_every if args.sampled_trace else 0,
         progress=sys.stderr if args.progress else None,
         label=label,

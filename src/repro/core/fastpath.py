@@ -1,14 +1,17 @@
-"""Glue between :class:`SchedulerSimulation` and the fast engine.
+"""Glue between :class:`SchedulerSimulation` and the SoA event loop.
 
-:func:`run_fast` builds a :class:`~repro.sim.fast.FastSimulation` from a
-configured :class:`~repro.core.simulation.SchedulerSimulation`, runs the
-arrival stream through it, and then writes the fast engine's end-of-run
-state back into the reference object — engine clock and counters, core
-occupancy/tuner/residency state, the profiling table, tuning sessions
-and the decision accumulators — so post-run introspection
-(``sim.engine.processed``, ``sim.cores[i].busy_cycles``,
-``sim.table``, ``sim.heuristic``) observes exactly what a reference run
-would have left behind.
+``SchedulerSimulation.run(engine="fast")`` runs its closed batch on the
+one struct-of-arrays loop, :class:`~repro.sim.stream.StreamingSimulation`:
+:func:`run_fast` replays the arrival list through a
+:class:`~repro.workloads.arrivals.ReplayProcess` as a finite stream that
+retains every job record, built over the
+:class:`~repro.sim.fast.FastSimulation` tables prebuilt at construction.
+It then writes the stream's end-of-run state back into the reference
+object — engine clock and counters, core occupancy/tuner/residency
+state, the profiling table, tuning sessions and the decision
+accumulators — so post-run introspection (``sim.engine.processed``,
+``sim.cores[i].busy_cycles``, ``sim.table``, ``sim.heuristic``)
+observes exactly what a reference run would have left behind.
 """
 
 from __future__ import annotations
@@ -19,13 +22,21 @@ from repro.core.profiling import ExecutionRecord, ProfilingTable
 from repro.core.results import SimulationResult
 from repro.core.tuning import TuningHeuristic
 from repro.sim.fast import FastSimulation
-from repro.workloads.arrivals import JobArrival
+from repro.sim.stream import StreamConfig, StreamingSimulation
+from repro.workloads.arrivals import JobArrival, ReplayProcess
 
-__all__ = ["build_fast", "run_fast"]
+__all__ = ["batch_stream", "build_fast", "run_fast", "take_tables"]
+
+#: Run accumulators the reference keeps as ``sim._<name>``.
+_ACCUMULATORS = (
+    "dynamic_nj", "busy_static_nj", "reconfig_nj", "reconfig_cycles",
+    "profiling_overhead_nj", "stall_decisions", "non_best_decisions",
+    "tuning_executions", "profiling_executions", "preemption_count",
+)
 
 
 def build_fast(sim) -> FastSimulation:
-    """A :class:`FastSimulation` mirroring ``sim``'s configuration."""
+    """The SoA tables mirroring ``sim``'s configuration."""
     return FastSimulation(
         sim.system,
         sim.policy,
@@ -38,96 +49,112 @@ def build_fast(sim) -> FastSimulation:
         preemptive=sim.preemptive,
         preemption_quantum_cycles=sim.preemption_quantum_cycles,
         preload_profiles=sim._preload_profiles_requested,
-        telemetry=sim.telemetry,
         power=sim.power,
     )
 
 
+def take_tables(sim) -> FastSimulation:
+    """The tables prebuilt at construction, or fresh ones once used.
+
+    A table set carries the knowledge state of the run it serves, so
+    each one is handed out exactly once.
+    """
+    tables = sim._fast
+    sim._fast = None
+    return build_fast(sim) if tables is None else tables
+
+
+def batch_stream(sim, count: int) -> StreamingSimulation:
+    """The finite, record-retaining stream that runs ``sim``'s batch."""
+    return StreamingSimulation._over(
+        take_tables(sim),
+        StreamConfig(max_jobs=count, retain_jobs=True),
+        sim.telemetry,
+        closed_batch=True,
+    )
+
+
 def run_fast(sim, arrivals: Sequence[JobArrival]) -> SimulationResult:
-    """Run ``sim``'s configuration on the fast engine.
+    """Run ``sim``'s configuration on the SoA loop.
 
     ``sim`` must have been constructed with the obs/validate/faults
-    hooks all off (engine resolution guarantees this).  Uses the
-    engine prebuilt at construction when available and still fresh
-    (engine selection can change between construction and run if the
-    caller toggles hooks, and an engine instance runs exactly once).
+    hooks all off (engine resolution guarantees this), and the arrivals
+    must already be checked (non-empty, every benchmark characterised).
     """
-    fast = sim._fast
-    if fast is None or fast.final_state is not None:
-        fast = build_fast(sim)
-    result = fast.run(arrivals)
-    _write_back(sim, fast, result)
+    stream = batch_stream(sim, len(arrivals))
+    result = stream.run(ReplayProcess(arrivals)).sim_result
+    _write_back(sim, stream, result, len(arrivals))
     return result
 
 
-def _write_back(sim, fast: FastSimulation, result: SimulationResult) -> None:
-    """Install the fast engine's final state on the reference object."""
-    state = fast.final_state
+def _write_back(
+    sim,
+    stream: StreamingSimulation,
+    result: SimulationResult,
+    n_arrivals: int,
+) -> None:
+    """Install the stream's end-of-run state on the reference object."""
+    s = stream._s
+    f = stream.f
+    cfg_objs = f.cfg_objs
     engine = sim.engine
-    engine._now = state["now"]
-    engine._processed = state["processed"]
-    engine._sequence = state["sequence"]
+    engine._now = s["now"]
+    engine._processed = s["processed"]
+    # The reference numbers the n arrivals 0..n-1 before the first
+    # completion it schedules.
+    engine._sequence = n_arrivals + s["seq"]
 
-    sim.queue.enqueued_total = state["enqueued_total"]
-    sim.queue.max_length = state["max_queue_len"]
+    sim.queue.enqueued_total = s["enqueued_total"]
+    sim.queue.max_length = s["max_queue_len"]
 
-    for core, snap in zip(sim.cores, state["cores"]):
+    for ci, core in enumerate(sim.cores):
         core.current_job = None
-        core.dvfs = snap.get("dvfs")
-        core.busy_until = snap["busy_until"]
-        core.busy_cycles = snap["busy_cycles"]
-        core.executions = snap["executions"]
-        core.epoch = snap["epoch"]
-        core.run_started_at = snap["run_started_at"]
-        core._residency_closed = snap["residency_closed"]
-        core._residency_start = snap["residency_start"]
-        core._residency_busy = snap["residency_busy"]
+        core.dvfs = s["core_dvfs"][ci]
+        core.busy_until = s["busy_until"][ci]
+        core.busy_cycles = s["busy_cycles"][ci]
+        core.executions = s["execs"][ci]
+        core.epoch = s["epoch"][ci]
+        core.run_started_at = s["run_started"][ci]
+        core._residency_closed = s["res_closed"][ci]
+        core._residency_start = s["res_start"][ci]
+        core._residency_busy = s["res_busy"][ci]
         tuner = core.tuner
-        tuner._current = snap["config"]
-        tuner.reconfigurations = snap["reconfigurations"]
-        tuner.total_cycles = snap["reconfig_cycles"]
-        tuner.total_energy_nj = snap["reconfig_energy_nj"]
+        tuner._current = cfg_objs[s["cur_cfg"][ci]]
+        tuner.reconfigurations = s["recfg_count"][ci]
+        tuner.total_cycles = s["recfg_cycles_core"][ci]
+        tuner.total_energy_nj = s["recfg_nj_core"][ci]
 
-    # Rebuild the profiling table in the fast run's touch order (the
+    # Rebuild the profiling table in the run's touch order (the
     # reference table's dict order is observable through benchmarks(),
     # exploration_counts() and predictions_kb).
     table = ProfilingTable()
-    for b in fast.touch_order:
-        name = fast.bench_names[b]
+    for b in f.touch_order:
+        name = f.bench_names[b]
         profile = table.profile(name)
-        if fast.profiled[b]:
+        if f.profiled[b]:
             profile.counters = sim.store.counters(name)
-        if fast.pred_raw[b] is not None:
-            profile.predicted_size_kb = fast.pred_raw[b]
-        for cid in fast.executed[b]:
-            config = fast.cfg_objs[cid]
-            entry = fast._est[b][cid]
+        if f.pred_raw[b] is not None:
+            profile.predicted_size_kb = f.pred_raw[b]
+        for cid in f.executed[b]:
+            config = cfg_objs[cid]
+            entry = f._est[b][cid]
             profile.executions[config] = ExecutionRecord(
                 config=config,
                 total_energy_nj=entry[3],
                 total_cycles=entry[0],
             )
-        profile.tuned_sizes = set(fast.tuned[b])
+        profile.tuned_sizes = set(f.tuned[b])
     sim.table = table
 
     heuristic = TuningHeuristic()
     heuristic._sessions = {
-        (fast.bench_names[b], size_kb): session
-        for (b, size_kb), session in fast.sessions.items()
+        (f.bench_names[b], size_kb): session
+        for (b, size_kb), session in f.sessions.items()
     }
     sim.heuristic = heuristic
 
-    acc = state["accumulators"]
-    sim._dynamic_nj = acc["dynamic_nj"]
-    sim._busy_static_nj = acc["busy_static_nj"]
-    sim._reconfig_nj = acc["reconfig_nj"]
-    sim._reconfig_cycles = acc["reconfig_cycles"]
-    sim._profiling_overhead_nj = acc["profiling_overhead_nj"]
-    sim._stall_decisions = acc["stall_decisions"]
-    sim._non_best_decisions = acc["non_best_decisions"]
-    sim._tuning_executions = acc["tuning_executions"]
-    sim._profiling_executions = acc["profiling_executions"]
-    sim._preemption_count = acc["preemption_count"]
+    for name in _ACCUMULATORS:
+        setattr(sim, "_" + name, s[name])
     sim._records = list(result.jobs)
-    if "power" in state:
-        sim._power_pool.load_state(state["power"])
+    if f._power_pool is not None:
+        sim._power_pool.load_state(f._power_pool.state_dict())

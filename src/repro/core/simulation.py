@@ -19,6 +19,7 @@ Total system energy = idle + busy static + dynamic.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.config import BASE_CONFIG
@@ -223,18 +224,19 @@ class SchedulerSimulation:
         nothing and the run is bit-identical to ``faults=None``.
     engine:
         Which event loop executes :meth:`run`.  ``"reference"`` is the
-        oracle loop in this module; ``"fast"`` is the struct-of-arrays
-        engine (:mod:`repro.sim.fast`) with the obs/validate/faults
-        hooks compiled out — bit-identical results, an order of
-        magnitude faster, but incompatible with tracing, metrics,
-        validation and fault injection (requesting both raises
-        :class:`ValueError`).  The default ``"auto"`` picks the fast
-        engine exactly when all four hooks are off (see
+        oracle loop in this module; ``"fast"`` replays the arrivals as a
+        finite stream through the struct-of-arrays event loop
+        (:mod:`repro.sim.stream`, glued on by :mod:`repro.core.fastpath`)
+        with the obs/validate/faults hooks compiled out — bit-identical
+        results, an order of magnitude faster, but incompatible with
+        tracing, metrics, validation and fault injection (requesting
+        both raises :class:`ValueError`).  The default ``"auto"`` picks
+        the fast engine exactly when all four hooks are off (see
         ``docs/performance.md``).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` sink.  Unlike
         the four per-event hooks above it is *sampled* observability —
-        fed at chunk boundaries by the fast and streaming engines, so
+        fed at each arrival-chunk boundary by the SoA event loop, so
         attaching it keeps ``engine="auto"`` on the fast path and the
         results bit-identical.  Requires the fast engine (attaching it
         alongside hooks, which force the reference engine, raises
@@ -369,10 +371,10 @@ class SchedulerSimulation:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.metrics = metrics
         #: Sampled telemetry sink (:mod:`repro.obs.telemetry`) for the
-        #: fast and streaming engines.  Deliberately NOT part of
-        #: :meth:`_fast_eligible`: telemetry fires on chunk boundaries
-        #: only, so requesting it keeps ``engine="auto"`` on the fast
-        #: path.
+        #: SoA event loop (fast and streaming runs).  Deliberately NOT
+        #: part of :meth:`_fast_eligible`: telemetry fires on chunk
+        #: boundaries only, so requesting it keeps ``engine="auto"`` on
+        #: the fast path.
         self.telemetry = telemetry
         #: Job id the policy just flagged as a non-best dispatch; consumed
         #: by :meth:`_start` to categorise the execution it opens.
@@ -604,8 +606,8 @@ class SchedulerSimulation:
         """Open-system run: consume an unbounded arrival process.
 
         Drives a :class:`~repro.sim.stream.StreamingSimulation` built
-        from this simulation's configuration — the fast engine's event
-        loop fed in bounded chunks from ``process``, with streaming
+        over this simulation's prebuilt tables — the SoA event loop
+        fed in bounded chunks from ``process``, with streaming
         metric accumulation, admission control and deterministic
         checkpoint/resume — and returns its
         :class:`~repro.sim.stream.StreamResult`.
@@ -646,23 +648,11 @@ class SchedulerSimulation:
                 "P50/P90/P99 snapshots, throughput, energy and shed "
                 "rates are accumulated in O(1) memory."
             )
+        from repro.core.fastpath import take_tables
         from repro.sim.stream import StreamingSimulation, read_checkpoint
 
-        streaming = StreamingSimulation(
-            self.system,
-            self.policy,
-            self.store,
-            predictor=self.predictor,
-            energy_table=self.energy_table,
-            tuner_costs=self._tuner_costs,
-            profiling_overhead_fraction=self.profiling_overhead_fraction,
-            discipline=self.discipline,
-            preemptive=self.preemptive,
-            preemption_quantum_cycles=self.preemption_quantum_cycles,
-            preload_profiles=self._preload_profiles_requested,
-            config=config,
-            telemetry=self.telemetry,
-            power=self.power,
+        streaming = StreamingSimulation._over(
+            take_tables(self), config, self.telemetry
         )
         if resume_from is not None:
             snapshot = (
@@ -686,20 +676,24 @@ class SchedulerSimulation:
 
     def run(self, arrivals: Sequence[JobArrival]) -> SimulationResult:
         """Simulate the full arrival stream to completion."""
+        if not arrivals:
+            raise ValueError("need at least one arrival")
+        unknown = set(map(attrgetter("benchmark"), arrivals)).difference(
+            self.store.names()
+        )
+        if unknown:
+            first = next(a for a in arrivals if a.benchmark in unknown)
+            raise KeyError(
+                f"benchmark {first.benchmark!r} missing from the "
+                "characterisation store"
+            )
         if self._resolve_engine() == "fast":
             # Imported lazily: the reference path stays importable even
             # if the fast engine's dependencies are unavailable.
             from repro.core.fastpath import run_fast
 
             return run_fast(self, arrivals)
-        if not arrivals:
-            raise ValueError("need at least one arrival")
         for arrival in arrivals:
-            if arrival.benchmark not in self.store:
-                raise KeyError(
-                    f"benchmark {arrival.benchmark!r} missing from the "
-                    "characterisation store"
-                )
             job = Job(
                 job_id=arrival.job_id,
                 benchmark=arrival.benchmark,

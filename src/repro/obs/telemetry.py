@@ -1,24 +1,28 @@
-"""Low-overhead sampled telemetry for the fast and streaming engines.
+"""Low-overhead sampled telemetry for the struct-of-arrays event loop.
 
-The fast and streaming engines (:mod:`repro.sim.fast`,
-:mod:`repro.sim.stream`) compile the per-event observability hooks out
-of their hot loops — that is what makes them fast — so a run at the
-scale the ROADMAP cares about (millions of jobs, sustained load) used
-to be a black box until the final result.  :class:`Telemetry` closes
-that gap without reopening the hot path: the engines feed it only at
-**chunk boundaries** (every arrival-buffer refill for the streaming
-engine, every ``sample_every`` completions for the closed-batch fast
-engine), where it *reads* engine state — queue depth, per-core busy
-cycles and cache configuration, jobs done, windowed P² wait quantiles,
-energy accrued, throughput — and appends one versioned JSONL sample.
+The struct-of-arrays event loop (:mod:`repro.sim.stream`, which runs
+both closed batches on ``engine="fast"`` and open-system streams)
+compiles the per-event observability hooks out of its hot loop — that
+is what makes it fast — so a run at the scale the ROADMAP cares about
+(millions of jobs, sustained load) used to be a black box until the
+final result.  :class:`Telemetry` closes that gap without reopening
+the hot path: the loop feeds it only at **chunk boundaries** — every
+arrival-buffer refill, plus one final sample at drain — where it
+*reads* engine state — queue depth, per-core busy cycles and cache
+configuration, jobs done, windowed P² wait quantiles, energy accrued,
+throughput — and appends one versioned JSONL sample.  A closed batch
+is replayed in chunks of
+:data:`~repro.workloads.arrivals.STREAM_CHUNK` arrivals, so it samples
+on the same cadence as a stream.
 
 Three invariants make it safe and resumable:
 
 * **Non-perturbation** — telemetry only reads state the engine already
   maintains; a telemetry-on run is bit-identical (results and post-run
-  state) to a telemetry-off run.  The engines guard every telemetry
-  touch point with a single integer compare against a sentinel, so the
-  telemetry-off cost is one compare per completion.
+  state) to a telemetry-off run.  The loop guards every per-event
+  telemetry touch point (sampled tracing) with a single integer compare
+  against a sentinel, so the telemetry-off cost is one compare per
+  completion and per start.
 * **Determinism** — JSONL samples carry only simulation-derived fields
   (no wall-clock timestamps), canonically encoded (sorted keys, compact
   separators, ASCII), so a fixed run always produces byte-identical
@@ -33,7 +37,7 @@ Three invariants make it safe and resumable:
 On top of the samples, every ``trace_every``-th dispatch/completion is
 re-emitted through the typed :mod:`repro.obs.events` schema (marked
 ``"sampled": true``) so the ``repro trace`` / replay tooling keeps
-working on fast-engine runs, and :func:`render_prometheus` turns the
+working on SoA-loop runs, and :func:`render_prometheus` turns the
 latest sample into a Prometheus-style text exposition.
 """
 
@@ -45,7 +49,6 @@ import time
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from .events import EnergyAccrued, JobCompleted
-from .metrics import Histogram
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -56,10 +59,8 @@ __all__ = [
 ]
 
 #: Version of the JSONL sample schema (header line + sample lines).
-TELEMETRY_SCHEMA_VERSION = 1
-
-#: Default completions between fast-engine samples.
-DEFAULT_SAMPLE_EVERY = 1000
+#: v2 dropped the header's ``sample_every`` (one refill cadence now).
+TELEMETRY_SCHEMA_VERSION = 2
 
 
 def _encode(payload: dict) -> str:
@@ -71,7 +72,7 @@ def _encode(payload: dict) -> str:
 
 
 class Telemetry:
-    """Chunk-boundary telemetry sink for the fast/streaming engines.
+    """Chunk-boundary telemetry sink for the SoA event loop.
 
     Parameters
     ----------
@@ -81,9 +82,6 @@ class Telemetry:
     trace_out:
         Sampled-trace destination (typed events, ``sampled=true``).
         Requires ``trace_every >= 1``.
-    sample_every:
-        Completions between samples on the closed-batch fast engine
-        (the streaming engine samples at every arrival-buffer refill).
     trace_every:
         Re-emit every Nth dispatch and completion as a typed event;
         ``0`` disables sampled tracing entirely.
@@ -101,14 +99,11 @@ class Telemetry:
         *,
         out: Union[str, os.PathLike, TextIO, None] = None,
         trace_out: Union[str, os.PathLike, TextIO, None] = None,
-        sample_every: int = DEFAULT_SAMPLE_EVERY,
         trace_every: int = 0,
         progress: Optional[TextIO] = None,
         progress_interval: float = 0.5,
         label: str = "",
     ) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         if trace_every < 0:
             raise ValueError("trace_every must be >= 0")
         if trace_every > 0 and trace_out is None:
@@ -117,7 +112,6 @@ class Telemetry:
             raise ValueError(
                 "trace_out needs trace_every >= 1 (0 disables sampling)"
             )
-        self.sample_every = sample_every
         self.trace_every = trace_every
         self.label = label
         self.progress_interval = progress_interval
@@ -138,9 +132,6 @@ class Telemetry:
         self.last_sample: Optional[dict] = None
         #: Set once the final sample of a run has been written.
         self.finalized = False
-        #: Wait-time window the *fast* engine feeds at sample time (the
-        #: streaming engine passes its own histogram snapshot instead).
-        self.wait_hist = Histogram("telemetry.waiting_cycles")
 
         self._progress = progress
         self._progress_len = 0
@@ -163,7 +154,7 @@ class Telemetry:
     def begin(self, header: Optional[dict] = None) -> None:
         """Open outputs and write the versioned header line (once).
 
-        Engines call this at run start (and again on resume, where the
+        The loop calls this at run start (and again on resume, where the
         already-nonzero byte offset suppresses a second header).  The
         header must only carry deterministic run metadata — never
         wall-clock values — so reruns stay byte-identical.
@@ -184,7 +175,6 @@ class Telemetry:
             payload = {
                 "kind": "telemetry",
                 "schema": TELEMETRY_SCHEMA_VERSION,
-                "sample_every": self.sample_every,
                 "trace_every": self.trace_every,
             }
             if header:
@@ -550,7 +540,7 @@ def render_telemetry_report(
     from repro.analysis import format_table
 
     meta_keys = ("engine", "policy", "discipline", "preemptive",
-                 "sample_every", "trace_every")
+                 "trace_every")
     meta = ", ".join(
         f"{key}={header[key]}" for key in meta_keys if key in header
     )

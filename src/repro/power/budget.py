@@ -226,6 +226,19 @@ class TokenPool:
         """granted − refunded − outstanding, exact by construction."""
         return self.granted_nj - self.refunded_nj - self.outstanding_nj
 
+    def gauges(self) -> Dict[str, float]:
+        """The account's totals and counters, by name."""
+        return {
+            "granted_nj": self.granted_nj,
+            "refunded_nj": self.refunded_nj,
+            "consumed_nj": self.consumed_nj,
+            "grants": self.grants,
+            "refunds": self.refunds,
+            "throttled": self.throttled,
+            "degraded": self.degraded,
+            "overdrafts": self.overdrafts,
+        }
+
     def idle(self) -> bool:
         """No grants held anywhere — the progress-guarantee condition."""
         return not self._held
@@ -259,10 +272,6 @@ class TokenPool:
         """Settle a grant on completion; returns the grant amount."""
         grant, _ = self._held.pop(job_id)
         return grant
-
-    def release_all(self) -> None:
-        """Forget every held grant (terminal cleanup only)."""
-        self._held.clear()
 
     # -- checkpoint ---------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Discrete-event simulation substrate: events, a deterministic event
-engine, the FIFO ready queue, the struct-of-arrays fast engine and the
-open-system streaming engine built on top of it.
+engine, the FIFO ready queue, and the struct-of-arrays event loop
+(:mod:`~repro.sim.stream`) with its lookup tables
+(:mod:`~repro.sim.fast`), which runs both fast closed batches and
+open-system streams.
 """
 
 from .engine import EventEngine

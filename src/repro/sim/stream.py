@@ -1,27 +1,39 @@
-"""Open-system streaming driver on top of the fast engine.
+"""The struct-of-arrays event loop, fed by an arrival process.
 
-:class:`StreamingSimulation` runs the exact event loop of
-:class:`~repro.sim.fast.FastSimulation` — same policies, same event
-ordering, same floating-point operation order — against an *unbounded*
-:class:`~repro.workloads.arrivals.ArrivalProcess` instead of a
-materialised arrival list, in bounded memory:
+:class:`StreamingSimulation` is the one struct-of-arrays (SoA) event
+loop: the paper's scheduler (profile once, predict the best core,
+stall vs. non-best, greedy cache tuning) on flat per-job and per-core
+lists, with the same event order and floating-point operation order as
+the reference loop in :mod:`repro.core.simulation`.  Its tables
+(config and benchmark interning, the characterisation rows, the
+profiling and tuning knowledge) come from
+:class:`~repro.sim.fast.FastSimulation`.  It reads arrivals from an
+:class:`~repro.workloads.arrivals.ArrivalProcess`, which serves both
+kinds of run:
+
+* **closed batches** — ``SchedulerSimulation.run(engine="fast")``
+  replays its materialised arrival list through a
+  :class:`~repro.workloads.arrivals.ReplayProcess` as a finite stream
+  that retains every job record (see :mod:`repro.core.fastpath`);
+* **open systems** — an unbounded process, run in bounded memory.
+
+What the loop adds for open systems:
 
 * **chunked refill** — arrivals are pulled one fixed chunk at a time
   (O(chunk) arrival memory) and admitted in generation order, which the
   processes guarantee is non-decreasing in time;
-* **job-slot recycling** — per-job struct-of-arrays slots are returned
-  to a free list when a job completes (unless ``retain_jobs`` asks for
-  the full closed-batch :class:`~repro.core.results.SimulationResult`),
-  so job memory is O(in-flight jobs), not O(jobs ever);
+* **job-slot recycling** — per-job slots are returned to a free list
+  when a job completes (unless ``retain_jobs`` asks for the full
+  closed-batch :class:`~repro.core.results.SimulationResult`), so job
+  memory is O(in-flight jobs), not O(jobs ever);
 * **streaming accumulation** — waiting/turnaround distributions flow
   into :class:`~repro.obs.metrics.Histogram` P² estimators
-  (P50/P90/P99), energy into the same scalar accumulators the fast
-  engine uses, and idle leakage into per-core per-power integer cycle
-  counts folded incrementally at each reconfiguration.  The fold is
-  bit-identical to the fast engine's end-of-run residency walk: integer
-  cycle sums are exact and order-free, and dict key order (first-seen
-  static power) is chronological in both engines, so the final
-  ``cycles * power`` multiply-accumulate runs in the same order;
+  (P50/P90/P99), and idle leakage into per-core per-power integer cycle
+  counts folded at each reconfiguration.  The fold is bit-identical to
+  the reference's end-of-run residency walk: integer cycle sums are
+  exact and order-free, and dict key order (first-seen static power) is
+  chronological in both, so the final ``cycles * power``
+  multiply-accumulate runs in the same order;
 * **admission control** — an optional bounded ready queue with
   ``drop`` (reject the arrival), ``shed`` (evict the least-entitled
   queued job) or ``block`` (delay the arrival source) policies, so
@@ -34,23 +46,22 @@ materialised arrival list, in bounded memory:
 
 Bounded-queue and warm-up machinery never touches the arithmetic of
 the simulation itself, so an unbounded-queue stream truncated to N
-jobs is bit-identical to the closed-batch fast engine run on
+jobs is bit-identical to the reference loop run on
 ``poisson_arrivals(count=N)`` — enforced by
-``tests/sim/test_streaming.py``.
+``tests/sim/test_streaming_engine.py``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.cache.config import CacheConfig
-from repro.cache.tuner import TunerCostModel
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.tuning import TuningSession
 from repro.obs.events import CATEGORIES as _CATEGORIES
@@ -79,6 +90,9 @@ ADMISSION_POLICIES = ("drop", "shed", "block")
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
+
+# Column reader for a chunk of arrivals (C-level, no per-item bytecode).
+_ARRIVAL_CYCLE = attrgetter("arrival_cycle")
 
 
 @dataclass(frozen=True)
@@ -237,6 +251,28 @@ def _arrival_from_list(fields: list) -> JobArrival:
     )
 
 
+def _stride(path: Optional[str], every: Optional[int]) -> Optional[int]:
+    """Completions between checkpoints (100,000 when only a path is set)."""
+    if every is not None and every <= 0:
+        raise ValueError("checkpoint_every must be positive")
+    if path is not None and every is None:
+        return 100_000
+    return every
+
+
+def _check_monotone(times: List[int], last: int) -> int:
+    """The last of ``times``, after checking they never decrease."""
+    if times and (times[0] < last or times != sorted(times)):
+        for t in times:
+            if t < last:
+                raise ValueError(
+                    "arrival process emitted decreasing times: "
+                    f"{t} after {last}"
+                )
+            last = t
+    return times[-1] if times else last
+
+
 def _session_to_dict(session: TuningSession) -> dict:
     def cfg(config: Optional[CacheConfig]) -> Optional[list]:
         if config is None:
@@ -282,10 +318,11 @@ def _session_from_dict(state: dict) -> TuningSession:
 
 
 class StreamingSimulation:
-    """One open-system streaming run of one policy on one system.
+    """One streaming run of one policy on one system.
 
-    Construction mirrors :class:`FastSimulation` (same arguments, same
-    validation) plus a :class:`StreamConfig`.  Drive it either with
+    Construction takes :class:`FastSimulation`'s arguments (passed
+    through as ``options``, with the same defaults and validation)
+    plus a :class:`StreamConfig`.  Drive it either with
     :meth:`run` (to completion, with optional periodic checkpoints) or
     with :meth:`start` + :meth:`advance` for stepwise control;
     :meth:`result` summarises a finished run.  :meth:`snapshot` /
@@ -298,34 +335,40 @@ class StreamingSimulation:
         policy,
         store,
         *,
-        predictor=None,
-        energy_table=None,
-        tuner_costs: TunerCostModel = TunerCostModel(),
-        profiling_overhead_fraction: float = 0.003,
-        discipline: str = "fifo",
-        preemptive: bool = False,
-        preemption_quantum_cycles: int = 10_000,
-        preload_profiles: bool = False,
         config: StreamConfig = None,
         telemetry=None,
-        power=None,
+        **options,
     ) -> None:
         if config is None:
             raise ValueError("a StreamConfig is required")
-        self.f = FastSimulation(
-            system,
-            policy,
-            store,
-            predictor=predictor,
-            energy_table=energy_table,
-            tuner_costs=tuner_costs,
-            profiling_overhead_fraction=profiling_overhead_fraction,
-            discipline=discipline,
-            preemptive=preemptive,
-            preemption_quantum_cycles=preemption_quantum_cycles,
-            preload_profiles=preload_profiles,
-            power=power,
+        self._bind(
+            FastSimulation(system, policy, store, **options),
+            config,
+            telemetry,
         )
+
+    @classmethod
+    def _over(
+        cls,
+        tables: FastSimulation,
+        config: StreamConfig,
+        telemetry=None,
+        *,
+        closed_batch: bool = False,
+    ) -> "StreamingSimulation":
+        """A stream over prebuilt (and not yet used) tables.
+
+        ``closed_batch`` marks the ``SchedulerSimulation.run`` driver:
+        it records closed residency intervals for the write-back, and,
+        since a closed batch reports no quantiles, it skips the P²
+        observations unless telemetry samples read them.
+        """
+        stream = cls.__new__(cls)
+        stream._bind(tables, config, telemetry, closed_batch)
+        return stream
+
+    def _bind(self, tables, config, telemetry, closed_batch=False) -> None:
+        self.f = tables
         self.config = config
         # Sampled telemetry sink (repro.obs.telemetry), fed once per
         # arrival-buffer refill — the stream's natural chunk boundary —
@@ -334,6 +377,10 @@ class StreamingSimulation:
         self.telemetry = telemetry
         self.process: Optional[ArrivalProcess] = None
         self._s: Optional[dict] = None
+        self._closed_batch = closed_batch
+        # The ``engine`` field of telemetry lines: the mode the caller ran.
+        self._engine_label = "fast" if closed_batch else "stream"
+        self._observe = not closed_batch or telemetry is not None
         self._wait_hist = Histogram("stream.waiting_cycles")
         self._turn_hist = Histogram("stream.turnaround_cycles")
 
@@ -362,13 +409,9 @@ class StreamingSimulation:
             raise RuntimeError("a StreamingSimulation runs exactly once")
         self.process = process
         C = self.f.n_cores
-        self._s = {
-            # per-job slots (parallel lists, recycled via free_slots)
-            "jbid": [], "jlab": [], "jarr": [], "jprio": [], "jdl": [],
-            "jstart": [], "jcomp": [], "remaining": [], "jpre": [],
-            "last_enq": [], "waiting": [], "charged": [],
-            "urgency": [], "sortkey": [],
-            "free_slots": [],
+        # per-job slots (parallel lists, recycled via free_slots)
+        self._s = {key: [] for key in self._SLOT_KEYS}
+        self._s.update({
             "records": [],
             # event/queue state
             "queue": {},
@@ -426,7 +469,11 @@ class StreamingSimulation:
             "last_arrival_cycle": 0,
             # per-(benchmark, size) session cache, rebuilt lazily
             "sess_state": [dict() for _ in self.f.bench_names],
-        }
+        })
+        if self._closed_batch:
+            # Closed residency intervals (start, end, config, busy) per
+            # core, for the reference-shaped write-back.
+            self._s["res_closed"] = [[] for _ in range(C)]
         if self.telemetry is not None:
             self.telemetry.begin(self._telemetry_header())
 
@@ -434,7 +481,7 @@ class StreamingSimulation:
         """Deterministic run metadata for the telemetry header line."""
         f = self.f
         return {
-            "engine": "stream",
+            "engine": self._engine_label,
             "policy": f.policy.name,
             "discipline": f.discipline,
             "preemptive": f.preemptive,
@@ -456,10 +503,7 @@ class StreamingSimulation:
         every ``checkpoint_every`` completions (and once at the end),
         so a killed run can resume from the last file.
         """
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
-        if checkpoint_path is not None and checkpoint_every is None:
-            checkpoint_every = 100_000
+        checkpoint_every = _stride(checkpoint_path, checkpoint_every)
         self.start(process)
         return self._drive(checkpoint_path, checkpoint_every)
 
@@ -472,10 +516,7 @@ class StreamingSimulation:
         checkpoint_every: Optional[int] = None,
     ) -> StreamResult:
         """Restore a snapshot and drive the rest of the run."""
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
-        if checkpoint_path is not None and checkpoint_every is None:
-            checkpoint_every = 100_000
+        checkpoint_every = _stride(checkpoint_path, checkpoint_every)
         self.restore(snapshot, process)
         return self._drive(checkpoint_path, checkpoint_every)
 
@@ -503,11 +544,30 @@ class StreamingSimulation:
         """Process events until a budget is hit or the stream drains.
 
         Returns ``True`` while events may remain (call again), ``False``
-        once the run is finished.  The loop body is the fast engine's,
-        inlined and closure-cell-free for the same CPython reasons
-        (see :mod:`repro.sim.fast`); every state mutation lands in
-        structures owned by ``self._s``, so stopping between any two
-        events is exact.
+        once the run is finished.  Every state mutation lands in
+        structures owned by ``self._s`` (or the knowledge state of
+        ``self.f``), so stopping between any two events is exact.
+
+        The per-decision helpers (choose/start/complete/try_preempt/
+        dispatch) are inlined into this single loop body: in CPython a
+        variable captured by any nested function or comprehension
+        becomes a closure cell everywhere in the frame, so keeping hot
+        state out of every closure (the cold-path ``sess`` takes its
+        tables as default arguments, and telemetry samples are built in
+        :meth:`_sample`) turns each access into a plain local load.  The
+        loop reads plain Python lists, not
+        NumPy arrays, because scalar indexing into an ndarray boxes on
+        every access.
+
+        Event batching happens *between* scheduler decision points: a
+        full dispatch round runs after every event — including stale
+        (preempted-epoch) completions — so stall/non-best decision
+        counts match the reference exactly.  The observability,
+        validation and fault hooks of the reference loop are absent;
+        engine selection in
+        :class:`~repro.core.simulation.SchedulerSimulation` only routes
+        runs here when all of them are off, and they are
+        observation-only, so skipping them cannot change results.
         """
         s = self._s
         if s is None:
@@ -516,12 +576,18 @@ class StreamingSimulation:
         f = self.f
         config = self.config
 
-        ev_budget = math.inf if max_events is None else max_events
-        comp_budget = (
-            math.inf if max_completions is None else max_completions
+        # Budgets become stop values of the run's own event and
+        # completion counters (-1: never); the loop runs until the event
+        # counter reaches ``ev_stop``, which the completion budget pulls
+        # in when it is spent.  A budget below zero is spent already.
+        ev_stop = (
+            -1 if max_events is None
+            else s["processed"] + max(max_events, 0)
         )
-        ev_done = 0
-        comp_done = 0
+        comp_stop = (
+            -1 if max_completions is None
+            else s["completed"] + max(max_completions, 0)
+        )
 
         # -- configuration locals ---------------------------------------
         capacity = config.queue_capacity
@@ -530,7 +596,6 @@ class StreamingSimulation:
         duration = config.duration_cycles
         warmup = config.warmup_cycles
         retain = config.retain_jobs
-        recycle = not retain
 
         # -- knowledge-state locals (owned by the FastSimulation) -------
         est = f._est
@@ -574,7 +639,8 @@ class StreamingSimulation:
         disc = self.DISC_IDS[f.discipline]
         fifo = disc == 0
 
-        # Power axis locals (the fast engine's, on the inner sim).
+        # Power axis locals.  ``pool is None`` is the only extra branch
+        # the power-off loop pays.
         pool = f._power_pool
         if pool is None:
             dvfs_points: Optional[tuple] = None
@@ -610,6 +676,7 @@ class StreamingSimulation:
         abuf = s["abuf"]
         atimes = s["atimes"]
         abuf_i = s["abuf_i"]
+        abuf_n = len(abuf)
         deferred = s["deferred"]
         gen_done = s["gen_done"]
         cur_job = s["cur_job"]
@@ -657,6 +724,8 @@ class StreamingSimulation:
         makespan = s["makespan"]
         last_arrival_cycle = s["last_arrival_cycle"]
         sess_state = s["sess_state"]
+        res_closed = s.get("res_closed")
+        observe = self._observe
         wait_observe = self._wait_hist.observe
         turn_observe = self._turn_hist.observe
 
@@ -682,7 +751,21 @@ class StreamingSimulation:
         view: Optional[list] = None
         more = True
 
-        def sess(b: int, size_kb: int) -> tuple:
+        # Per-(benchmark, size) tuning-session state cache:
+        # ``(done, cid, config)`` where ``cid`` is the interned id of the
+        # best config (done) or the next sweep config (in progress), or
+        # -1 when that config is not in this system's design space.  The
+        # steady state (every session done) then costs two int-keyed
+        # dict reads per decision instead of a session-object attribute
+        # chain plus a CacheConfig hash.  Its tables are default
+        # arguments so that none of them becomes a closure cell.
+        def sess(
+            b: int,
+            size_kb: int,
+            sess_state=sess_state,
+            sessions=sessions,
+            cfg_ids=cfg_ids,
+        ) -> tuple:
             state = sess_state[b].get(size_kb)
             if state is None:
                 key = (b, size_kb)
@@ -699,24 +782,25 @@ class StreamingSimulation:
                 sess_state[b][size_kb] = state
             return state
 
-        while True:
-            if ev_done >= ev_budget or comp_done >= comp_budget:
-                break
-
+        if completed == comp_stop:
+            ev_stop = processed
+        while processed != ev_stop:
             # -- next event ---------------------------------------------
             # Admission of a blocked arrival takes priority the moment
             # space exists: it was the earliest unserved arrival, so
             # FIFO admission order is preserved.
-            a_admit = None
             if deferred is not None and len(queue) < capacity:
                 a_admit = deferred
                 deferred = None
                 blocked_cycles += now - a_admit.arrival_cycle
             else:
-                if abuf_i >= len(abuf) and not gen_done:
+                if abuf_i >= abuf_n and not gen_done:
                     # -- chunked refill ---------------------------------
                     raw = process.next_chunk()
                     take = len(raw)
+                    if not take:
+                        # An exhausted (finite) process ends generation.
+                        gen_done = True
                     if max_jobs is not None:
                         left = max_jobs - generated
                         if take >= left:
@@ -732,39 +816,33 @@ class StreamingSimulation:
                         raw = raw[:take]
                     generated += take
                     abuf = raw
-                    atimes = [x.arrival_cycle for x in raw]
+                    abuf_n = take
+                    atimes = list(map(_ARRIVAL_CYCLE, raw))
+                    last_arrival_cycle = _check_monotone(
+                        atimes, last_arrival_cycle
+                    )
                     abuf_i = 0
                     if tel is not None:
                         # Chunk boundary (cold path, once per refill):
                         # read the loop's own state into one sample.
-                        tel.sample(
-                            engine="stream", now=now, done=completed,
-                            total=max_jobs, generated=generated,
+                        self._sample(
+                            now=now, done=completed, generated=generated,
                             admitted=admitted, dropped=dropped,
                             shed=shed, queue=len(queue), busy=n_busy,
-                            cores=[
-                                [busy_cycles[i],
-                                 cfg_names[cur_cfg[i]]]
-                                for i in core_range
-                            ],
                             dynamic_nj=dynamic_nj,
                             busy_static_nj=busy_static_nj,
                             reconfig_nj=reconfig_nj,
-                            profiling_overhead_nj=(
-                                profiling_overhead_nj
-                            ),
+                            profiling_overhead_nj=profiling_overhead_nj,
                             stalls=stall_decisions,
                             non_best=non_best_decisions,
                             preemptions=preemption_count,
-                            waiting=self._wait_hist.snapshot(),
-                            jobs_per_mcycle=(
-                                completed * 1e6 / now if now else 0.0
-                            ),
                         )
-                have_arr = deferred is None and abuf_i < len(abuf)
-                if comp_heap and not (
-                    have_arr and atimes[abuf_i] < comp_heap[0][0]
+                if comp_heap and (
+                    deferred is not None
+                    or abuf_i == abuf_n
+                    or comp_heap[0][0] <= atimes[abuf_i]
                 ):
+                    a_admit = None
                     now, _, ci, cepoch = heappop(comp_heap)
                     if cepoch == epoch[ci]:
                         # ---- job completion ------------------------
@@ -840,12 +918,17 @@ class StreamingSimulation:
                                     )
                         # ---- streaming accumulation ----------------
                         completed += 1
-                        comp_done += 1
-                        if now > makespan:
-                            makespan = now
+                        if completed == comp_stop:
+                            # Stop after this event's dispatch round.
+                            ev_stop = processed + 1
+                        # The clock never runs backwards, so the latest
+                        # completion is the makespan.
+                        makespan = now
                         if retain:
                             records.append((jid, ci, cid, prof, tun))
-                        if jarr[jid] >= warmup:
+                        else:
+                            free_slots.append(jid)
+                        if observe and jarr[jid] >= warmup:
                             observed += 1
                             wait_observe(waiting[jid])
                             turn_observe(now - jarr[jid])
@@ -860,20 +943,12 @@ class StreamingSimulation:
                                 energy_nj=charged[jid],
                                 waiting_cycles=waiting[jid],
                             )
-                        if recycle:
-                            free_slots.append(jid)
                     # A stale completion (preempted epoch) still opens
-                    # a dispatch round, exactly like the fast engine.
-                elif have_arr:
+                    # a dispatch round, exactly like the reference.
+                elif deferred is None and abuf_i < abuf_n:
                     a = abuf[abuf_i]
                     t = atimes[abuf_i]
                     abuf_i += 1
-                    if t < last_arrival_cycle:
-                        raise ValueError(
-                            "arrival process emitted decreasing times: "
-                            f"{t} after {last_arrival_cycle}"
-                        )
-                    last_arrival_cycle = t
                     # Blocking backpressure can pause the source while
                     # completions advance the clock, so a resumed
                     # arrival may carry a timestamp in the simulated
@@ -889,12 +964,10 @@ class StreamingSimulation:
                         if adm == 0:  # drop: reject the arrival
                             dropped += 1
                             processed += 1
-                            ev_done += 1
                             continue
                         if adm == 2:  # block: pause the source
                             deferred = a
                             processed += 1
-                            ev_done += 1
                             continue
                         # shed: evict the least-entitled queued job
                         # (last in service order; under FIFO the
@@ -912,7 +985,7 @@ class StreamingSimulation:
                         del queue[victim]
                         view = None
                         shed += 1
-                        if recycle:
+                        if not retain:
                             free_slots.append(victim)
                         a_admit = a
                     else:
@@ -929,29 +1002,17 @@ class StreamingSimulation:
                     if tel is not None:
                         # Final sample at drain (idempotent: the sink
                         # ignores samples after the ``final`` one).
-                        tel.sample(
-                            engine="stream", now=now, done=completed,
-                            total=max_jobs, generated=generated,
+                        self._sample(
+                            now=now, done=completed, generated=generated,
                             admitted=admitted, dropped=dropped,
                             shed=shed, queue=len(queue), busy=n_busy,
-                            cores=[
-                                [busy_cycles[i],
-                                 cfg_names[cur_cfg[i]]]
-                                for i in core_range
-                            ],
                             dynamic_nj=dynamic_nj,
                             busy_static_nj=busy_static_nj,
                             reconfig_nj=reconfig_nj,
-                            profiling_overhead_nj=(
-                                profiling_overhead_nj
-                            ),
+                            profiling_overhead_nj=profiling_overhead_nj,
                             stalls=stall_decisions,
                             non_best=non_best_decisions,
                             preemptions=preemption_count,
-                            waiting=self._wait_hist.snapshot(),
-                            jobs_per_mcycle=(
-                                completed * 1e6 / now if now else 0.0
-                            ),
                             final=True,
                         )
                     more = False
@@ -967,6 +1028,15 @@ class StreamingSimulation:
                     )
                 prio = a_admit.priority
                 dl = a_admit.deadline_cycle
+                if fifo:
+                    urg = 0.0
+                    skey = 0
+                elif disc == 1:
+                    urg = float(prio)
+                    skey = -prio
+                else:
+                    urg = _NEG_INF if dl is None else -float(dl)
+                    skey = _INF if dl is None else dl
                 if free_slots:
                     jid = free_slots.pop()
                     jbid[jid] = b
@@ -981,18 +1051,14 @@ class StreamingSimulation:
                     last_enq[jid] = now
                     waiting[jid] = 0
                     charged[jid] = 0.0
-                    if disc == 1:
-                        urgency[jid] = float(prio)
-                        sort_key[jid] = -prio
-                    elif disc == 2:
-                        urgency[jid] = (
-                            _NEG_INF if dl is None else -float(dl)
-                        )
-                        sort_key[jid] = _INF if dl is None else dl
-                    else:
-                        urgency[jid] = 0.0
-                        sort_key[jid] = 0
+                    urgency[jid] = urg
+                    sort_key[jid] = skey
                 else:
+                    # A new slot.  Appending the values costs about half
+                    # of growing each column and then assigning, and a
+                    # retaining run (every closed batch) takes this
+                    # branch once per job; a recycling stream stops
+                    # growing once its slots cover the jobs in flight.
                     jid = len(jbid)
                     jbid.append(b)
                     jlab.append(a_admit.job_id)
@@ -1006,17 +1072,8 @@ class StreamingSimulation:
                     last_enq.append(now)
                     waiting.append(0)
                     charged.append(0.0)
-                    if disc == 1:
-                        urgency.append(float(prio))
-                        sort_key.append(-prio)
-                    elif disc == 2:
-                        urgency.append(
-                            _NEG_INF if dl is None else -float(dl)
-                        )
-                        sort_key.append(_INF if dl is None else dl)
-                    else:
-                        urgency.append(0.0)
-                        sort_key.append(0)
+                    urgency.append(urg)
+                    sort_key.append(skey)
                 queue[jid] = True
                 view = None
                 enqueued_total += 1
@@ -1024,13 +1081,23 @@ class StreamingSimulation:
                 if len(queue) > max_queue_len:
                     max_queue_len = len(queue)
             processed += 1
-            ev_done += 1
             if n_busy >= C and not preemptive:
                 continue
 
-            # ---- dispatch rounds (verbatim fast-engine semantics) -----
+            # ---- dispatch rounds --------------------------------------
+            # A dispatch round is skipped above when every core is
+            # occupied and preemption is off: the reference's dispatch
+            # scans for an idle core before consulting the policy, so an
+            # all-busy round has no observable effect.  ``n_busy < C`` is
+            # exactly "some core is idle": a core with no job always has
+            # ``busy_until <= now`` (completions fire at busy_until,
+            # preemption rewinds it to now).
             while True:
                 if n_busy < C and queue:
+                    # Under FIFO the dict's insertion order IS the
+                    # view, so iterate it live (the only mutation —
+                    # del on assignment — is immediately followed by
+                    # a break).
                     if fifo:
                         v = queue
                     elif view is not None:
@@ -1040,11 +1107,22 @@ class StreamingSimulation:
                             queue, key=sort_key.__getitem__
                         )
                     assigned = False
+                    # Benchmarks that already stalled during THIS scan
+                    # pass: the stall evaluation reads only core/now/
+                    # session state, all of which is fixed until a
+                    # start ends the pass, so a repeat evaluation for
+                    # the same benchmark is deterministic — skip the
+                    # arithmetic and repeat its counter increment.
                     scan_stalled = set()
                     for jid in v:
+                        # ---- placement decision --------------------
+                        # Idleness is just ``cur_job[ci] < 0`` (see
+                        # above).  ``continue`` means this job waits;
+                        # the scan moves to the next one.
                         b = jbid[jid]
                         assignment = None
                         if requires_profiling and not profiled[b]:
+                            # Unprofiled: profiling core, base config.
                             for ci, supports_base in profiling_order:
                                 if cur_job[ci] < 0 and supports_base:
                                     assignment = (
@@ -1097,6 +1175,8 @@ class StreamingSimulation:
                                     False,
                                 )
                         else:
+                            # Predictor-driven policies share the size
+                            # lookup.
                             if pred_raw[b] is None:
                                 raise RuntimeError(
                                     f"{bench_names[b]} has no "
@@ -1124,7 +1204,10 @@ class StreamingSimulation:
                                 if assignment is None:
                                     continue
                             else:
-                                # proposed
+                                # proposed — a best-size match wins
+                                # outright, so the scan can stop at
+                                # the first one; idle_nb only matters
+                                # when none exists.
                                 if b in scan_stalled:
                                     stall_decisions += 1
                                     continue
@@ -1177,6 +1260,9 @@ class StreamingSimulation:
                                         if best_cid < 0:
                                             raise KeyError(best_cfg)
                                         if best_cid not in executed[b]:
+                                            # Parity with the
+                                            # table-eviction guard
+                                            # (fault-only).
                                             stall_decisions += 1
                                             scan_stalled.add(b)
                                             continue
@@ -1229,8 +1315,12 @@ class StreamingSimulation:
                                         )
 
                         # ---- power gate ----------------------------
-                        # Verbatim fast-engine gate (see repro.sim.fast
-                        # for the arithmetic notes).
+                        # Mirrors SchedulerSimulation._power_gate with
+                        # the point pinned to nominal (engine selection
+                        # keeps policies that override choose_dvfs on
+                        # the reference engine).  All arithmetic repeats
+                        # repro.energy.scaling.scaled_charges operation
+                        # for operation.
                         dvfs_point = None
                         if pool is not None:
                             ci, cid, prof, tun = assignment
@@ -1333,10 +1423,15 @@ class StreamingSimulation:
                             cost_nj = recfg_nj_from[prev]
                             # Fold the closed residency interval into
                             # the per-power idle ledger right away
-                            # (bit-identical to the batch engine's
+                            # (bit-identical to the reference's
                             # end-of-run walk: integer sums are exact,
                             # and first-seen power order is
                             # chronological in both).
+                            if res_closed is not None:
+                                res_closed[ci].append((
+                                    res_start[ci], now, cfg_objs[prev],
+                                    res_busy[ci],
+                                ))
                             idle_cycles = (
                                 (now - res_start[ci]) - res_busy[ci]
                             )
@@ -1364,6 +1459,8 @@ class StreamingSimulation:
 
                         entry = est[b][cid]
                         if entry is None:
+                            # Raise the reference's KeyError at the
+                            # same point.
                             store.estimate(
                                 bench_names[b], cfg_objs[cid]
                             )
@@ -1387,6 +1484,9 @@ class StreamingSimulation:
                             tuning_executions += 1
 
                         if fraction == 1.0:
+                            # IEEE multiplication by 1.0 is exact, so
+                            # the common full-run case can skip the
+                            # scaling bit-identically.
                             dynamic_charge = dyn
                             static_charge = sta
                             work = tot_cycles
@@ -1480,6 +1580,8 @@ class StreamingSimulation:
                     if assigned:
                         continue
 
+                # Nothing could be placed (or no core is idle): try a
+                # preemption, otherwise the dispatch round is over.
                 if not preemptive:
                     break
                 if preempted_now_cycle != now:
@@ -1516,6 +1618,8 @@ class StreamingSimulation:
                 for jid in v:
                     if urgency[jid] <= victim_urgency:
                         continue
+                    # Preempt the victim core; requeue the remaining
+                    # work.
                     (vjid, _, _, _, fraction_at_start, dync, stac,
                      ovhc, _, _, _) = pending[victim_ci]
                     pending[victim_ci] = None
@@ -1605,6 +1709,28 @@ class StreamingSimulation:
 
     DISC_IDS = {"fifo": 0, "priority": 1, "edf": 2}
 
+    def _sample(self, *, now: int, done: int, **fields) -> None:
+        """One telemetry sample of the loop's state at a chunk boundary.
+
+        Kept out of :meth:`advance` so no comprehension there captures
+        the per-core lists (see the note on ``sess``).
+        """
+        s = self._s
+        names = self.f.cfg_names
+        self.telemetry.sample(
+            engine=self._engine_label,
+            now=now,
+            done=done,
+            total=self.config.max_jobs,
+            cores=[
+                [busy, names[cid]]
+                for busy, cid in zip(s["busy_cycles"], s["cur_cfg"])
+            ],
+            waiting=self._wait_hist.snapshot(),
+            jobs_per_mcycle=done * 1e6 / now if now else 0.0,
+            **fields,
+        )
+
     # -- result assembly -----------------------------------------------------
 
     def result(self) -> StreamResult:
@@ -1626,7 +1752,7 @@ class StreamingSimulation:
         # Close each core's open residency interval against the
         # makespan — on a (copied) ledger, so result() is idempotent —
         # then multiply-accumulate in first-seen power order, exactly
-        # the batch engine's walk.
+        # the reference's walk.
         idle_nj = 0.0
         for ci in range(f.n_cores):
             pp = dict(s["per_power"][ci])
@@ -1640,18 +1766,29 @@ class StreamingSimulation:
             for power, cycles in pp.items():
                 idle_nj += cycles * power
 
-        dynamic_total = (
-            s["dynamic_nj"]
-            + s["reconfig_nj"]
-            + s["profiling_overhead_nj"]
+        # The fields a stream summary shares with the batch result.
+        common = dict(
+            makespan_cycles=makespan,
+            idle_energy_nj=idle_nj,
+            dynamic_energy_nj=(
+                s["dynamic_nj"]
+                + s["reconfig_nj"]
+                + s["profiling_overhead_nj"]
+            ),
+            busy_static_energy_nj=s["busy_static_nj"],
+            reconfig_energy_nj=s["reconfig_nj"],
+            profiling_overhead_nj=s["profiling_overhead_nj"],
+            reconfig_cycles=s["reconfig_cycles"],
+            stall_decisions=s["stall_decisions"],
+            non_best_decisions=s["non_best_decisions"],
+            tuning_executions=s["tuning_executions"],
+            profiling_executions=s["profiling_executions"],
+            preemption_count=s["preemption_count"],
+            core_busy_cycles=dict(enumerate(s["busy_cycles"])),
         )
-        core_busy = {}
-        for ci in range(f.n_cores):
-            core_busy[ci] = s["busy_cycles"][ci]
-
         sim_result = None
         if self.config.retain_jobs:
-            sim_result = self._assemble_sim_result(idle_nj, core_busy)
+            sim_result = self._assemble_sim_result(common)
 
         config = self.config
         return StreamResult(
@@ -1668,46 +1805,27 @@ class StreamingSimulation:
             forced_admissions=s["forced"],
             blocked_cycles=s["blocked_cycles"],
             observed_jobs=s["observed"],
-            makespan_cycles=makespan,
-            idle_energy_nj=idle_nj,
-            dynamic_energy_nj=dynamic_total,
-            busy_static_energy_nj=s["busy_static_nj"],
-            reconfig_energy_nj=s["reconfig_nj"],
-            profiling_overhead_nj=s["profiling_overhead_nj"],
-            reconfig_cycles=s["reconfig_cycles"],
-            stall_decisions=s["stall_decisions"],
-            non_best_decisions=s["non_best_decisions"],
-            tuning_executions=s["tuning_executions"],
-            profiling_executions=s["profiling_executions"],
-            preemption_count=s["preemption_count"],
             enqueued_total=s["enqueued_total"],
             max_queue_len=s["max_queue_len"],
-            core_busy_cycles=core_busy,
             waiting=self._wait_hist.snapshot(),
             turnaround=self._turn_hist.snapshot(),
             sim_result=sim_result,
             power=(
-                None
-                if f._power_pool is None
-                else {
-                    "granted_nj": f._power_pool.granted_nj,
-                    "refunded_nj": f._power_pool.refunded_nj,
-                    "consumed_nj": f._power_pool.consumed_nj,
-                    "grants": f._power_pool.grants,
-                    "refunds": f._power_pool.refunds,
-                    "throttled": f._power_pool.throttled,
-                    "degraded": f._power_pool.degraded,
-                    "overdrafts": f._power_pool.overdrafts,
-                }
+                None if f._power_pool is None else f._power_pool.gauges()
             ),
+            **common,
         )
 
-    def _assemble_sim_result(
-        self, idle_nj: float, core_busy: Dict[int, int]
-    ) -> SimulationResult:
-        """The closed-batch result (retain mode), fast-engine-shaped."""
+    def _assemble_sim_result(self, common: dict) -> SimulationResult:
+        """The closed-batch result (retain mode), reference-shaped."""
         s = self._s
         f = self.f
+        # JobRecord is a frozen dataclass: its generated __init__ routes
+        # every field through object.__setattr__ and then validates
+        # invariants the simulation already guarantees (arrival <= start
+        # <= completion, waiting >= 0).  Building via __new__ + __dict__
+        # skips that per-record overhead; the generated __eq__/__hash__
+        # read attributes, so the records compare identically.
         jlab = s["jlab"]
         jbid = s["jbid"]
         jarr = s["jarr"]
@@ -1752,26 +1870,10 @@ class StreamingSimulation:
         return SimulationResult(
             policy=f.policy.name,
             jobs_completed=len(job_records),
-            makespan_cycles=s["makespan"],
-            idle_energy_nj=idle_nj,
-            dynamic_energy_nj=(
-                s["dynamic_nj"]
-                + s["reconfig_nj"]
-                + s["profiling_overhead_nj"]
-            ),
-            busy_static_energy_nj=s["busy_static_nj"],
-            reconfig_energy_nj=s["reconfig_nj"],
-            profiling_overhead_nj=s["profiling_overhead_nj"],
-            reconfig_cycles=s["reconfig_cycles"],
-            stall_decisions=s["stall_decisions"],
-            non_best_decisions=s["non_best_decisions"],
-            tuning_executions=s["tuning_executions"],
-            profiling_executions=s["profiling_executions"],
-            preemption_count=s["preemption_count"],
-            core_busy_cycles=core_busy,
             exploration_counts=exploration_counts,
             predictions_kb=predictions,
             jobs=job_records,
+            **common,
         )
 
     # -- checkpoint / resume -------------------------------------------------
@@ -1808,22 +1910,8 @@ class StreamingSimulation:
             raise RuntimeError("call start() or restore() first")
         f = self.f
         abuf_i = s["abuf_i"]
-        engine = {
-            "jbid": list(s["jbid"]),
-            "jlab": list(s["jlab"]),
-            "jarr": list(s["jarr"]),
-            "jprio": list(s["jprio"]),
-            "jdl": list(s["jdl"]),
-            "jstart": list(s["jstart"]),
-            "jcomp": list(s["jcomp"]),
-            "remaining": list(s["remaining"]),
-            "jpre": list(s["jpre"]),
-            "last_enq": list(s["last_enq"]),
-            "waiting": list(s["waiting"]),
-            "charged": list(s["charged"]),
-            "urgency": list(s["urgency"]),
-            "sortkey": list(s["sortkey"]),
-            "free_slots": list(s["free_slots"]),
+        engine = {key: list(s[key]) for key in self._SLOT_KEYS}
+        engine.update({
             "records": [list(r) for r in s["records"]],
             "queue": list(s["queue"]),
             "comp_heap": [list(e) for e in s["comp_heap"]],
@@ -1834,18 +1922,9 @@ class StreamingSimulation:
                 else _arrival_to_list(s["deferred"])
             ),
             "gen_done": s["gen_done"],
-            "cur_job": list(s["cur_job"]),
-            "busy_until": list(s["busy_until"]),
-            "busy_cycles": list(s["busy_cycles"]),
-            "run_started": list(s["run_started"]),
-            "epoch": list(s["epoch"]),
-            "execs": list(s["execs"]),
-            "cur_cfg": list(s["cur_cfg"]),
-            "recfg_count": list(s["recfg_count"]),
-            "recfg_cycles_core": list(s["recfg_cycles_core"]),
-            "recfg_nj_core": list(s["recfg_nj_core"]),
-            "res_start": list(s["res_start"]),
-            "res_busy": list(s["res_busy"]),
+        })
+        engine.update({key: list(s[key]) for key in self._CORE_KEYS})
+        engine.update({
             "pending": [
                 None if p is None else list(p) for p in s["pending"]
             ],
@@ -1860,7 +1939,7 @@ class StreamingSimulation:
                 if f._power_pool is None
                 else f._power_pool.state_dict()
             ),
-        }
+        })
         for key in self._SCALAR_KEYS:
             engine[key] = s[key]
         knowledge = {
@@ -1896,6 +1975,20 @@ class StreamingSimulation:
                 else self.telemetry.state_dict()
             ),
         }
+
+    #: Per-job slot columns (plus the free list), saved as plain lists.
+    _SLOT_KEYS = (
+        "jbid", "jlab", "jarr", "jprio", "jdl", "jstart", "jcomp",
+        "remaining", "jpre", "last_enq", "waiting", "charged", "urgency",
+        "sortkey", "free_slots",
+    )
+
+    #: Per-core state saved as plain lists.
+    _CORE_KEYS = (
+        "cur_job", "busy_until", "busy_cycles", "run_started", "epoch",
+        "execs", "cur_cfg", "recfg_count", "recfg_cycles_core",
+        "recfg_nj_core", "res_start", "res_busy",
+    )
 
     _SCALAR_KEYS = (
         "now", "seq", "processed", "n_busy", "enqueued_total",
@@ -1945,21 +2038,10 @@ class StreamingSimulation:
         engine = snapshot["engine"]
         abuf = [_arrival_from_list(x) for x in engine["abuf"]]
         state = {
-            "jbid": list(engine["jbid"]),
-            "jlab": list(engine["jlab"]),
-            "jarr": list(engine["jarr"]),
-            "jprio": list(engine["jprio"]),
-            "jdl": list(engine["jdl"]),
-            "jstart": list(engine["jstart"]),
-            "jcomp": list(engine["jcomp"]),
-            "remaining": list(engine["remaining"]),
-            "jpre": list(engine["jpre"]),
-            "last_enq": list(engine["last_enq"]),
-            "waiting": list(engine["waiting"]),
-            "charged": list(engine["charged"]),
-            "urgency": list(engine["urgency"]),
-            "sortkey": list(engine["sortkey"]),
-            "free_slots": list(engine["free_slots"]),
+            key: list(engine[key])
+            for key in self._SLOT_KEYS + self._CORE_KEYS
+        }
+        state.update({
             "records": [tuple(r) for r in engine["records"]],
             "queue": dict.fromkeys(engine["queue"], True),
             "comp_heap": [tuple(e) for e in engine["comp_heap"]],
@@ -1972,18 +2054,6 @@ class StreamingSimulation:
                 else _arrival_from_list(engine["deferred"])
             ),
             "gen_done": engine["gen_done"],
-            "cur_job": list(engine["cur_job"]),
-            "busy_until": list(engine["busy_until"]),
-            "busy_cycles": list(engine["busy_cycles"]),
-            "run_started": list(engine["run_started"]),
-            "epoch": list(engine["epoch"]),
-            "execs": list(engine["execs"]),
-            "cur_cfg": list(engine["cur_cfg"]),
-            "recfg_count": list(engine["recfg_count"]),
-            "recfg_cycles_core": list(engine["recfg_cycles_core"]),
-            "recfg_nj_core": list(engine["recfg_nj_core"]),
-            "res_start": list(engine["res_start"]),
-            "res_busy": list(engine["res_busy"]),
             "pending": [
                 None if p is None else tuple(p)
                 for p in engine["pending"]
@@ -1995,7 +2065,7 @@ class StreamingSimulation:
             "preempted_now": set(engine["preempted_now"]),
             "core_dvfs": list(engine["core_dvfs"]),
             "sess_state": [dict() for _ in self.f.bench_names],
-        }
+        })
         for key in self._SCALAR_KEYS:
             state[key] = engine[key]
         self._s = state
@@ -2044,8 +2114,23 @@ class StreamingSimulation:
             self.telemetry.begin(self._telemetry_header())
 
     def write_checkpoint(self, path: str) -> None:
-        """Atomically write :meth:`snapshot` as JSON to ``path``."""
+        """Atomically and durably write :meth:`snapshot` as JSON.
+
+        The temporary file is flushed and fsynced before it replaces
+        ``path``, and the directory is fsynced after, so a crash leaves
+        either the previous checkpoint or the new one, never a torn or
+        missing file.
+        """
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(self.snapshot(), handle)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
+        directory = os.open(
+            os.path.dirname(os.path.abspath(path)), os.O_RDONLY
+        )
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)

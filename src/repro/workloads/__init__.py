@@ -10,6 +10,7 @@ from .arrivals import (
     MMPPProcess,
     PoissonProcess,
     QoSProcess,
+    ReplayProcess,
     make_process,
     poisson_arrivals,
     uniform_arrivals,
@@ -59,6 +60,7 @@ __all__ = [
     "MMPPProcess",
     "PoissonProcess",
     "QoSProcess",
+    "ReplayProcess",
     "STREAM_CHUNK",
     "EEMBC_DOMAINS",
     "EEMBC_NAMES",

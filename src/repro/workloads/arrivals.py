@@ -25,9 +25,11 @@ so a streaming checkpoint can capture and resume the RNG mid-stream.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "MMPPProcess",
     "PoissonProcess",
     "QoSProcess",
+    "ReplayProcess",
     "STREAM_CHUNK",
     "make_process",
     "poisson_arrivals",
@@ -215,7 +218,10 @@ class ArrivalProcess:
             raise ValueError(f"count must be positive, got {count}")
         out: List[JobArrival] = []
         while len(out) < count:
-            out.extend(self.next_chunk())
+            chunk = self.next_chunk()
+            if not chunk:
+                break
+            out.extend(chunk)
         return out[:count]
 
     def params(self) -> Dict[str, object]:
@@ -586,6 +592,57 @@ class QoSProcess(ArrivalProcess):
     def load_state(self, state: dict) -> None:
         self._rng = _restore_rng(state["rng"])
         self.inner.load_state(state["inner"])
+
+
+class ReplayProcess(ArrivalProcess):
+    """A materialised arrival list served as a finite stream.
+
+    The arrivals are stable-sorted by ``(arrival_cycle, input order)``
+    — the order the reference event heap pops equal-time arrivals — and
+    handed out ``chunk`` at a time.  Once the list is exhausted every
+    chunk is empty, which ends generation.  This is how closed batches
+    run on the streaming loop, and the landing point for captured
+    traces (capture once, replay many).
+    """
+
+    kind = "replay"
+
+    def __init__(
+        self, arrivals: Sequence[JobArrival], *, chunk: int = STREAM_CHUNK
+    ) -> None:
+        if chunk <= 0:
+            raise ValueError("chunk must be positive")
+        self.arrivals: List[JobArrival] = sorted(
+            arrivals, key=attrgetter("arrival_cycle")
+        )
+        self.chunk = chunk
+        self._next = 0
+
+    def next_chunk(self) -> List[JobArrival]:
+        start = self._next
+        out = self.arrivals[start:start + self.chunk]
+        self._next = start + len(out)
+        return out
+
+    def params(self) -> Dict[str, object]:
+        digest = hashlib.sha256()
+        for a in self.arrivals:
+            digest.update(repr((
+                a.job_id, a.benchmark, a.arrival_cycle, a.priority,
+                a.deadline_cycle,
+            )).encode())
+        return {
+            "kind": self.kind,
+            "count": len(self.arrivals),
+            "chunk": self.chunk,
+            "sha256": digest.hexdigest(),
+        }
+
+    def state_dict(self) -> dict:
+        return {"next": self._next}
+
+    def load_state(self, state: dict) -> None:
+        self._next = int(state["next"])
 
 
 #: Factory-constructible process kinds (CLI / campaign surface).

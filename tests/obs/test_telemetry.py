@@ -45,7 +45,7 @@ from repro.sim.stream import (
     StreamConfig,
     StreamingSimulation,
 )
-from repro.workloads.arrivals import PoissonProcess
+from repro.workloads.arrivals import STREAM_CHUNK, PoissonProcess
 from repro.workloads.eembc import eembc_benchmark
 
 from tests.scenarios import (
@@ -109,7 +109,6 @@ def _arrivals(discipline):
 
 
 def _telemetry(tmp_path, tag, **kwargs):
-    kwargs.setdefault("sample_every", 7)
     kwargs.setdefault("trace_out", tmp_path / f"{tag}.trace.jsonl")
     kwargs.setdefault("trace_every", 5)
     return Telemetry(out=tmp_path / f"{tag}.jsonl", **kwargs)
@@ -171,6 +170,50 @@ class TestFastEngineNonPerturbation:
         assert header["policy"] == policy
         assert samples and samples[-1]["final"] is True
         assert samples[-1]["done"] == r_on.jobs_completed
+
+    @pytest.mark.parametrize("discipline,preemptive", [
+        ("fifo", False), ("priority", True), ("edf", True),
+    ])
+    def test_samples_fall_at_replay_chunk_boundaries(
+        self, discipline, preemptive, store, oracle, energy_table,
+        tmp_path,
+    ):
+        # A closed batch is replayed STREAM_CHUNK arrivals at a time and
+        # samples once per refill, plus a final sample at drain.  The
+        # refills after the first land with jobs in flight, and those
+        # samples must not perturb the run either.
+        if discipline == "fifo":
+            arrivals = arrivals_for(SUITE_NAMES * 625, gap=40_000)
+        else:
+            arrivals = qos_arrivals(repeats=625, gap=150_000)
+        kwargs = dict(discipline=discipline, preemptive=preemptive,
+                      engine="fast")
+        off = make_simulation("proposed", store, predictor=oracle,
+                              energy_table=energy_table, **kwargs)
+        tel = Telemetry(out=tmp_path / "c.jsonl")
+        sim = make_simulation("proposed", store, predictor=oracle,
+                              energy_table=energy_table, telemetry=tel,
+                              **kwargs)
+        result = sim.run(arrivals)
+        tel.close()
+        assert result == off.run(arrivals)
+        _assert_state_parity(off, sim)
+        header, samples = read_telemetry(tmp_path / "c.jsonl")
+        assert header["engine"] == "fast"
+        assert header["max_jobs"] == len(arrivals)
+        *refills, final = samples
+        assert [s["generated"] for s in refills] == [
+            STREAM_CHUNK, 2 * STREAM_CHUNK, len(arrivals),
+        ]
+        previous = 0
+        for sample in refills:
+            # Taken right after a refill: every earlier arrival is in.
+            assert sample["admitted"] == previous
+            previous = sample["generated"]
+            assert "final" not in sample
+        assert final["final"] is True
+        assert final["done"] == result.jobs_completed == len(arrivals)
+        assert final["waiting"]["count"] == len(arrivals)
 
     def test_fixed_run_is_byte_deterministic(
         self, store, oracle, energy_table, tmp_path,
@@ -370,8 +413,6 @@ class TestEngineSelection:
 
 class TestTelemetrySink:
     def test_constructor_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="sample_every"):
-            Telemetry(sample_every=0)
         with pytest.raises(ValueError, match="trace_every"):
             Telemetry(trace_every=-1)
         with pytest.raises(ValueError, match="trace_out"):
@@ -462,7 +503,7 @@ class TestRenderers:
     def test_report_table(self, run_outputs):
         header, samples = run_outputs
         text = render_telemetry_report(header, samples)
-        assert "telemetry schema v1" in text
+        assert f"telemetry schema v{TELEMETRY_SCHEMA_VERSION}" in text
         assert "engine=fast" in text
         assert f"{len(samples)} samples" in text
         assert "jobs done" in text

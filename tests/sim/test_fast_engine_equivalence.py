@@ -230,16 +230,25 @@ class TestEngineSelection:
         assert sim._resolve_engine() == "reference"
 
     def test_fast_engine_runs_once(self, store, oracle, energy_table):
+        from repro.core.fastpath import batch_stream
         from repro.sim.fast import FastSimulation
+        from repro.workloads.arrivals import ReplayProcess
 
-        fast = make_simulation("proposed", store, predictor=oracle,
-                               energy_table=energy_table,
-                               engine="fast")._fast
-        assert isinstance(fast, FastSimulation)
+        sim = make_simulation("proposed", store, predictor=oracle,
+                              energy_table=energy_table, engine="fast")
+        tables = sim._fast
+        assert isinstance(tables, FastSimulation)
         arrivals = arrivals_for(SUITE_NAMES, gap=50_000)
-        fast.run(arrivals)
+        stream = batch_stream(sim, len(arrivals))
+        # The closed batch runs over the tables prebuilt at
+        # construction, and hands them out only once.
+        assert stream.f is tables
+        assert sim._fast is None
+        stream.run(ReplayProcess(arrivals))
         with pytest.raises(RuntimeError, match="runs exactly once"):
-            fast.run(arrivals)
+            stream.run(ReplayProcess(arrivals))
+        # The simulation itself builds fresh tables for its next run.
+        assert batch_stream(sim, len(arrivals)).f is not tables
 
 
 class TestCampaignEngine:

@@ -6,10 +6,9 @@ Its correctness contract has two halves:
 
 * **Closed-batch equivalence** — a finite stream (``max_jobs=N``, no
   admission bound, per-job retention on) must produce a
-  :class:`SimulationResult` *bit-identical* to
-  ``FastSimulation.run(poisson_arrivals(count=N))``, across the full
-  policy × discipline × preemption grid.  The batch engine is the
-  oracle.
+  :class:`SimulationResult` *bit-identical* to the reference loop's
+  ``run(poisson_arrivals(count=N))``, across the full policy ×
+  discipline × preemption grid.  The reference loop is the oracle.
 * **Open-system semantics** — admission control (drop / shed / block),
   warm-up truncation, duration bounds, bounded slot tables and the
   windowed quantile metrics, none of which have a batch counterpart.
@@ -21,17 +20,19 @@ has the full-suite store streaming replications need).
 """
 
 import itertools
+import os
+import stat
 
 import pytest
 
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.system import base_system, paper_system
 from repro.obs import MetricsRegistry
-from repro.sim.fast import FastSimulation
 from repro.sim.stream import (
     ADMISSION_POLICIES,
     StreamConfig,
     StreamingSimulation,
+    read_checkpoint,
 )
 from repro.workloads.arrivals import (
     PoissonProcess,
@@ -117,18 +118,10 @@ def _streaming(policy_name, store, oracle, energy_table, config,
     )
 
 
-def _fast(policy_name, store, oracle, energy_table, **kwargs):
-    policy = make_policy(policy_name)
-    system = (
-        base_system() if policy_name == "base" else paper_system()
-    )
-    return FastSimulation(
-        system,
-        policy,
-        store,
-        predictor=oracle if policy.uses_predictor else None,
-        energy_table=energy_table,
-        **kwargs,
+def _reference(policy_name, store, oracle, energy_table, **kwargs):
+    return make_simulation(
+        policy_name, store, predictor=oracle, energy_table=energy_table,
+        engine="reference", **kwargs,
     )
 
 
@@ -150,7 +143,7 @@ class TestClosedBatchEquivalence:
                 priority_levels=4,
                 seed=SEED,
             )
-        batch = _fast(
+        batch = _reference(
             policy, store, oracle, energy_table,
             discipline=discipline, preemptive=preemptive,
         ).run(arrivals)
@@ -172,7 +165,7 @@ class TestClosedBatchEquivalence:
             specs, count=N_JOBS,
             mean_interarrival_cycles=MEAN_GAP, seed=SEED,
         )
-        batch = _fast(
+        batch = _reference(
             "proposed", store, oracle, energy_table,
             preload_profiles=True,
         ).run(arrivals)
@@ -196,6 +189,21 @@ class TestClosedBatchEquivalence:
         while stepped.advance(max_events=17):
             pass
         assert stepped.result() == whole
+
+    @pytest.mark.parametrize("budget", [0, -1, -50])
+    def test_spent_budget_returns_at_once(
+        self, store, oracle, energy_table, specs, budget
+    ):
+        streaming = _streaming(
+            "proposed", store, oracle, energy_table,
+            StreamConfig(max_jobs=N_JOBS, retain_jobs=True),
+        )
+        streaming.start(_process(specs))
+        streaming.advance(max_events=3)
+        before = streaming.snapshot()
+        assert streaming.advance(max_events=budget)
+        assert streaming.advance(max_completions=budget)
+        assert streaming.snapshot() == before
 
 
 class TestBoundedMemory:
@@ -437,3 +445,37 @@ class TestSchedulerSimulationFrontEnd:
         )
         with pytest.raises(ValueError, match="windowed metrics"):
             sim.stream(_process(specs), StreamConfig(max_jobs=10))
+
+
+class TestDurableCheckpoint:
+    def test_write_fsyncs_file_and_directory(
+        self, store, oracle, energy_table, specs, tmp_path, monkeypatch
+    ):
+        config = StreamConfig(max_jobs=N_JOBS)
+        whole = _streaming(
+            "proposed", store, oracle, energy_table, config
+        ).run(_process(specs))
+
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        killed = _streaming("proposed", store, oracle, energy_table, config)
+        killed.start(_process(specs))
+        killed.advance(max_completions=150)
+        path = tmp_path / "stream.ckpt"
+        killed.write_checkpoint(str(path))
+        # The temporary file before the rename, its directory after.
+        assert synced == [False, True]
+        assert not (tmp_path / "stream.ckpt.tmp").exists()
+
+        resumed = _streaming(
+            "proposed", store, oracle, energy_table, config
+        )
+        assert resumed.resume(
+            read_checkpoint(str(path)), _process(specs)
+        ) == whole

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import TELEMETRY_SCHEMA_VERSION
 
 
 class TestParser:
@@ -534,17 +535,19 @@ class TestTelemetryCli:
         for command, extra in (("compare", []), ("stream", [])):
             args = build_parser().parse_args([
                 command, *extra,
-                "--telemetry-out", "t.jsonl", "--telemetry-every", "500",
+                "--telemetry-out", "t.jsonl",
                 "--sampled-trace", "s.jsonl",
                 "--sampled-trace-every", "50", "--progress",
             ])
             assert args.telemetry_out == "t.jsonl"
-            assert args.telemetry_every == 500
             assert args.sampled_trace == "s.jsonl"
             assert args.sampled_trace_every == 50
             assert args.progress
         args = build_parser().parse_args(["campaign", "--progress"])
         assert args.progress
+        # One sampling cadence (every arrival chunk): no stride flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["compare", "--telemetry-every", "10"])
 
     def test_compare_rejects_telemetry_with_hooks(self, capsys):
         code = main([
@@ -583,7 +586,7 @@ class TestTelemetryCli:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "telemetry schema v1" in out
+        assert f"telemetry schema v{TELEMETRY_SCHEMA_VERSION}" in out
         assert "200 jobs done" in out
         assert "repro_done 200" in prom.read_text()
 
@@ -629,7 +632,6 @@ class TestTelemetryCli:
         code = main([
             "compare", "--jobs", "40", "--predictor", "oracle",
             "--telemetry-out", str(tmp_path / "c.jsonl"),
-            "--telemetry-every", "10",
         ])
         assert code == 0
         out = capsys.readouterr().out

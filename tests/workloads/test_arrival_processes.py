@@ -12,6 +12,10 @@ The second property is exact resumability: ``state_dict()`` /
 ``load_state()`` must capture the full stream position (RNG, clock,
 phase, next job id) so a checkpointed stream continues bit-identically
 in a fresh process object.
+
+:class:`ReplayProcess` is the finite member of the family: it serves a
+materialised list in the reference loop's arrival order, which is how
+closed batches run on the streaming loop.
 """
 
 import json
@@ -26,8 +30,10 @@ from repro.workloads.arrivals import (
     ArrivalProcess,
     DiurnalProcess,
     MMPPProcess,
+    JobArrival,
     PoissonProcess,
     QoSProcess,
+    ReplayProcess,
     make_process,
     poisson_arrivals,
     with_qos,
@@ -240,3 +246,83 @@ class TestValidation:
             QoSProcess(
                 inner, service_estimate=lambda n: 1, priority_levels=0
             )
+
+
+def _replay_list():
+    """Ten arrivals over three distinct cycles, listed out of order."""
+    cycles = [30, 10, 30, 20, 10, 30, 20, 10, 20, 30]
+    return [
+        JobArrival(job_id=i, benchmark=SPECS[i % 3].name,
+                   arrival_cycle=cycle, priority=i % 2)
+        for i, cycle in enumerate(cycles)
+    ]
+
+
+class TestReplayProcess:
+    def test_stable_order_by_cycle_then_input_position(self):
+        arrivals = _replay_list()
+        served = ReplayProcess(arrivals).take(len(arrivals))
+        assert [a.arrival_cycle for a in served] == sorted(
+            a.arrival_cycle for a in arrivals
+        )
+        # Equal-time arrivals keep their input order.
+        assert [a.job_id for a in served] == [1, 4, 7, 3, 6, 8, 0, 2, 5, 9]
+
+    def test_chunk_boundaries(self):
+        arrivals = _replay_list()
+        process = ReplayProcess(arrivals, chunk=4)
+        chunks = [process.next_chunk() for _ in range(4)]
+        assert [len(c) for c in chunks] == [4, 4, 2, 0]
+        flat = [a for chunk in chunks for a in chunk]
+        assert flat == ReplayProcess(arrivals).take(len(arrivals))
+
+    def test_exhaustion_ends_generation(self):
+        arrivals = _replay_list()
+        process = ReplayProcess(arrivals, chunk=3)
+        assert process.take(100) == ReplayProcess(arrivals).take(10)
+        assert process.next_chunk() == []
+
+    def test_exhaustion_ends_the_run(self):
+        from repro.core.policies import make_policy
+        from repro.core.system import base_system
+        from repro.sim.stream import StreamConfig, StreamingSimulation
+        from tests.scenarios import build_small_store
+
+        store = build_small_store(tuple(spec.name for spec in SPECS))
+        arrivals = _replay_list()
+        stream = StreamingSimulation(
+            base_system(), make_policy("base"), store,
+            # The bound lies past the list: exhaustion must end the run.
+            config=StreamConfig(max_jobs=1_000),
+        )
+        result = stream.run(ReplayProcess(arrivals, chunk=4))
+        assert stream.finished
+        assert result.jobs_generated == len(arrivals)
+        assert result.jobs_completed == len(arrivals)
+
+    def test_state_round_trip(self):
+        arrivals = _replay_list()
+        original = ReplayProcess(arrivals, chunk=3)
+        original.next_chunk()
+        state = json.loads(json.dumps(original.state_dict()))
+        restored = ReplayProcess(arrivals, chunk=3)
+        restored.load_state(state)
+        assert restored.take(10) == original.take(10)
+
+    def test_params_fingerprint_identifies_the_list(self):
+        arrivals = _replay_list()
+        params = ReplayProcess(arrivals, chunk=3).params()
+        assert params["kind"] == "replay"
+        assert params["count"] == len(arrivals)
+        assert params["chunk"] == 3
+        assert json.loads(json.dumps(params)) == params
+        # Same list, same fingerprint; any changed arrival moves it.
+        assert ReplayProcess(list(arrivals), chunk=3).params() == params
+        changed = list(arrivals)
+        changed[0] = JobArrival(job_id=0, benchmark=SPECS[0].name,
+                                arrival_cycle=31)
+        assert ReplayProcess(changed, chunk=3).params() != params
+
+    def test_bad_chunk(self):
+        with pytest.raises(ValueError, match="chunk"):
+            ReplayProcess(_replay_list(), chunk=0)
