@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and streaming histograms.
+"""Metrics registry: counters, gauges and log-bucket histograms.
 
 One API for every stage of the reproduction — the scheduler simulation,
 the characterisation sweeps, predictor training and replication
@@ -7,10 +7,23 @@ are created on first use and live for the registry's lifetime:
 
 * :class:`Counter` — monotonically increasing event counts;
 * :class:`Gauge` — last-written point-in-time values;
-* :class:`Histogram` — running count/sum/min/max plus streaming
-  quantile estimates (p50/p90/p99 by default) via the P² algorithm
-  [Jain & Chlamtac 1985], so no samples are stored regardless of how
-  many observations arrive.
+* :class:`Histogram` — running count/sum/min/max plus a log-linear
+  bucket histogram (HdrHistogram / DDSketch style) for its quantiles
+  (p50/p90/p99 by default).
+
+A positive value falls in one of ``2**PRECISION_BITS`` equal buckets of
+its octave, indexed by its exponent (``int.bit_length`` or
+:func:`math.frexp`, never libm's ``log``) and top mantissa bits; ints
+and floats of equal value share a bucket.  A bucket reports its
+midpoint or, below ``2**(PRECISION_BITS + 1)`` where buckets are twice
+as fine, its lower edge, so small integers are exact.  Either way the
+report is within :data:`RELATIVE_ERROR` (0.39%) of every value in the
+bucket.  Zero has its own count, negatives a mirrored store, and the
+counts of two histograms add exactly.  As ``numpy.quantile`` does by
+default, quantile ``p`` interpolates between the order statistics at
+ranks ``floor(p(n-1))`` and ``ceil(p(n-1))``, each its bucket's report
+clamped to ``[min, max]``: within :data:`RELATIVE_ERROR` of the exact
+bracket, and monotone in ``p``.
 
 :meth:`MetricsRegistry.snapshot` returns a nested plain-dict view;
 :meth:`MetricsRegistry.scalars` flattens it to ``name -> float`` (with
@@ -20,16 +33,20 @@ across the fork pool for per-cell aggregation.
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
+    "PRECISION_BITS",
+    "RELATIVE_ERROR",
 ]
 
 
@@ -63,219 +80,188 @@ class Gauge:
         self.value = float(value)
 
 
-class P2Quantile:
-    """Streaming estimate of one quantile (the P² algorithm).
+#: Mantissa bits kept per octave: ``2**PRECISION_BITS`` buckets each.
+PRECISION_BITS = 7
 
-    Keeps five markers instead of the sample set; the estimate converges
-    to the true quantile as observations accumulate and is exact while
-    fewer than five samples have been seen.  Fully deterministic for a
-    fixed observation sequence.
-    """
-
-    __slots__ = ("p", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        self.p = p
-        self._heights: List[float] = []
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
-        self._increments = [0.0, p / 2, p, (1 + p) / 2, 1.0]
-
-    def observe(self, x: float) -> None:
-        """Feed one observation."""
-        q = self._heights
-        if len(q) < 5:
-            q.append(x)
-            q.sort()
-            return
-        n = self._positions
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            for i in range(1, 4):
-                if x >= q[i]:
-                    k = i
-        for i in range(k + 1, 5):
-            n[i] += 1
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            d = desired[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (
-                d <= -1 and n[i - 1] - n[i] < -1
-            ):
-                step = 1 if d >= 0 else -1
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current estimate (0.0 before any observation)."""
-        q = self._heights
-        if not q:
-            return 0.0
-        if len(q) < 5:
-            # Exact linear-interpolated quantile of the few samples.
-            rank = self.p * (len(q) - 1)
-            low = int(rank)
-            high = min(low + 1, len(q) - 1)
-            return q[low] + (q[high] - q[low]) * (rank - low)
-        return q[2]
-
-    @property
-    def count(self) -> int:
-        """Observations fed so far."""
-        q = self._heights
-        return len(q) if len(q) < 5 else self._positions[4]
-
-    def snapshot(self) -> Dict[str, float]:
-        """Cheap point-in-time view: ``{p, count, value}``.
-
-        Reads the current marker state without merging, copying or
-        touching the estimator, so periodic window reporting can call
-        it at any cadence with O(1) cost and zero perturbation of the
-        stream.
-        """
-        return {
-            "p": self.p,
-            "count": float(self.count),
-            "value": self.value,
-        }
-
-    def state_dict(self) -> dict:
-        """Full estimator state, JSON-serialisable and exact.
-
-        Every field (marker heights, integer positions, fractional
-        desired positions) round-trips bit-exactly through
-        :meth:`load_state`, so a checkpointed estimator continues the
-        stream as if never interrupted.
-        """
-        return {
-            "p": self.p,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore the exact state captured by :meth:`state_dict`."""
-        if state["p"] != self.p:
-            raise ValueError(
-                f"state is for p={state['p']}, estimator tracks p={self.p}"
-            )
-        self._heights = [float(x) for x in state["heights"]]
-        self._positions = [int(x) for x in state["positions"]]
-        self._desired = [float(x) for x in state["desired"]]
-
+#: Bound on the relative error of every reported order statistic.
+RELATIVE_ERROR = 2.0 ** -(PRECISION_BITS + 1)
 
 #: Default histogram quantiles (reported as p50 / p90 / p99).
 DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
+# Values from _FINE (2**(PRECISION_BITS + 1)) up use midpoint buckets;
+# bucket index = (octave shift << PRECISION_BITS) + top mantissa bits,
+# which puts the first of them at index _FINE.  Smaller values use
+# lower-edge buckets twice as fine, at indexes below _FINE.
+_FINE = 2 << PRECISION_BITS
+_SHIFT = PRECISION_BITS + 1
 
-def _quantile_key(p: float) -> str:
-    return f"p{p * 100:g}".replace(".", "_")
+
+def _bucket(value) -> int:
+    """Bucket index of a positive finite int or float."""
+    if type(value) is int and value >= _FINE:
+        shift = value.bit_length() - _SHIFT
+        return (shift << PRECISION_BITS) + (value >> shift)
+    mantissa, exponent = math.frexp(value)
+    if exponent > _SHIFT:
+        return ((exponent - _SHIFT) << PRECISION_BITS) + int(mantissa * _FINE)
+    return ((exponent - _SHIFT) << _SHIFT) + int(mantissa * 2 * _FINE) - _FINE
+
+
+def _representative(index: int) -> float:
+    """The value a bucket reports: midpoint, or lower edge below _FINE."""
+    if index >= _FINE:
+        shift = (index >> PRECISION_BITS) - 1
+        top = (index & (_FINE // 2 - 1)) + _FINE // 2
+        return float((2 * top + 1) << (shift - 1))
+    return math.ldexp((index & (_FINE - 1)) + _FINE, (index >> _SHIFT) - 1)
+
+
+def _dense(store: Dict[int, int]) -> Tuple[int, List[int]]:
+    """``(lowest index, counts from it to the highest index)``."""
+    if not store:
+        return 0, []
+    low = min(store)
+    counts = [0] * (max(store) - low + 1)
+    for index, count in store.items():
+        counts[index - low] = count
+    return low, counts
 
 
 class Histogram:
-    """Streaming distribution summary: count/sum/min/max + quantiles."""
+    """Count/sum/min/max plus log-linear buckets for the quantiles."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "_estimators")
+    __slots__ = (
+        "name", "quantiles", "count", "total", "min", "max", "_zeros",
+        "_pos", "_neg",
+    )
 
     def __init__(
         self, name: str, quantiles: Sequence[float] = DEFAULT_QUANTILES
     ) -> None:
+        if not all(0.0 < p < 1.0 for p in quantiles):
+            raise ValueError("quantiles must be in (0, 1)")
         self.name = name
+        self.quantiles = tuple(quantiles)
         self.count = 0
-        self.total = 0.0
+        self.total = 0
         self.min = float("inf")
         self.max = float("-inf")
-        self._estimators = tuple(P2Quantile(p) for p in quantiles)
+        self._zeros = 0
+        # Bucket index -> count, for positive values and for the
+        # magnitudes of negative ones.
+        self._pos: Dict[int, int] = {}
+        self._neg: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
-        """Feed one observation."""
-        value = float(value)
+        """Feed one observation (an int, or anything ``float`` takes)."""
+        if type(value) is not int:
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"histogram {self.name!r} got {value}")
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        for estimator in self._estimators:
-            estimator.observe(value)
+        if value > 0:
+            store, key = self._pos, _bucket(value)
+        elif value < 0:
+            store, key = self._neg, _bucket(-value)
+        else:
+            self._zeros += 1
+            return
+        store[key] = store.get(key, 0) + 1
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
+    def _values(self, quantiles: Sequence[float]) -> List[float]:
+        """The given quantiles, from one walk over the counts."""
+        n = self.count
+        if not n:
+            return [0.0] * len(quantiles)
+        neg_low, neg = _dense(self._neg)
+        pos_low, pos = _dense(self._pos)
+        # Ascending value order: negatives by falling magnitude, zero,
+        # then positives.
+        cumulative = list(
+            accumulate(chain(reversed(neg), (self._zeros,), pos))
+        )
+
+        def order_statistic(rank: int) -> float:
+            slot = bisect_right(cumulative, rank) - len(neg)
+            if slot < 0:
+                value = -_representative(neg_low - 1 - slot)
+            elif slot == 0:
+                value = 0.0
+            else:
+                value = _representative(pos_low + slot - 1)
+            return float(min(max(value, self.min), self.max))
+
+        values = []
+        for p in quantiles:
+            rank = p * (n - 1)
+            low = int(rank)
+            below = order_statistic(low)
+            above = order_statistic(min(low + 1, n - 1))
+            values.append(min(below + (above - below) * (rank - low), above))
+        return values
+
     def quantile(self, p: float) -> float:
-        """Current estimate for one of the configured quantiles."""
-        for estimator in self._estimators:
-            if estimator.p == p:
-                return estimator.value
-        raise KeyError(f"histogram {self.name!r} does not track p={p}")
+        """Current value of one of the configured quantiles."""
+        if p not in self.quantiles:
+            raise KeyError(f"histogram {self.name!r} does not track p={p}")
+        return self._values((p,))[0]
 
     def snapshot(self) -> Dict[str, float]:
         """Plain-dict summary of the distribution so far."""
         empty = self.count == 0
         summary: Dict[str, float] = {
             "count": float(self.count),
-            "sum": self.total,
+            "sum": float(self.total),
             "mean": self.mean,
-            "min": 0.0 if empty else self.min,
-            "max": 0.0 if empty else self.max,
+            "min": 0.0 if empty else float(self.min),
+            "max": 0.0 if empty else float(self.max),
         }
-        for estimator in self._estimators:
-            summary[_quantile_key(estimator.p)] = estimator.value
+        for p, value in zip(self.quantiles, self._values(self.quantiles)):
+            summary[f"p{p * 100:g}".replace(".", "_")] = value
         return summary
 
     def state_dict(self) -> dict:
-        """Exact JSON-serialisable state (for checkpoint/resume)."""
+        """Exact JSON state (for checkpoint/resume), counts kept dense."""
+        neg_low, neg = _dense(self._neg)
+        pos_low, pos = _dense(self._pos)
         return {
+            "quantiles": list(self.quantiles),
             "count": self.count,
             "total": self.total,
             "min": self.min,
             "max": self.max,
-            "estimators": [e.state_dict() for e in self._estimators],
+            "zeros": self._zeros,
+            "positive": {"offset": pos_low, "counts": pos},
+            "negative": {"offset": neg_low, "counts": neg},
         }
 
     def load_state(self, state: dict) -> None:
         """Restore the exact state captured by :meth:`state_dict`."""
-        estimators = state["estimators"]
-        if len(estimators) != len(self._estimators):
+        if tuple(state["quantiles"]) != self.quantiles:
             raise ValueError(
-                f"state has {len(estimators)} estimators, histogram "
-                f"{self.name!r} tracks {len(self._estimators)}"
+                f"state tracks quantiles {list(state['quantiles'])}, "
+                f"histogram {self.name!r} tracks {list(self.quantiles)}"
             )
-        self.count = int(state["count"])
-        self.total = float(state["total"])
-        self.min = float(state["min"])
-        self.max = float(state["max"])
-        for estimator, sub in zip(self._estimators, estimators):
-            estimator.load_state(sub)
+        self.count = state["count"]
+        self.total = state["total"]
+        self.min = state["min"]
+        self.max = state["max"]
+        self._zeros = state["zeros"]
+        self._pos, self._neg = (
+            dict(enumerate(store["counts"], store["offset"]))
+            for store in (state["positive"], state["negative"])
+        )
 
 
 class MetricsRegistry:
@@ -305,10 +291,18 @@ class MetricsRegistry:
     def histogram(
         self, name: str, quantiles: Sequence[float] = DEFAULT_QUANTILES
     ) -> Histogram:
-        """The histogram called ``name`` (created empty on first use)."""
+        """The histogram called ``name`` (created empty on first use).
+
+        Asking again for ``name`` with other quantiles is an error.
+        """
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name, quantiles)
+        elif instrument.quantiles != tuple(quantiles):
+            raise ValueError(
+                f"histogram {name!r} tracks quantiles "
+                f"{list(instrument.quantiles)}, not {list(quantiles)}"
+            )
         return instrument
 
     @contextmanager

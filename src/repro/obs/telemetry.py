@@ -9,7 +9,7 @@ final result.  :class:`Telemetry` closes that gap without reopening
 the hot path: the loop feeds it only at **chunk boundaries** — every
 arrival-buffer refill, plus one final sample at drain — where it
 *reads* engine state — queue depth, per-core busy cycles and cache
-configuration, jobs done, windowed P² wait quantiles, energy accrued,
+configuration, jobs done, log-bucket wait quantiles, energy accrued,
 throughput — and appends one versioned JSONL sample.  A closed batch
 is replayed in chunks of
 :data:`~repro.workloads.arrivals.STREAM_CHUNK` arrivals, so it samples

@@ -27,9 +27,11 @@ What the loop adds for open systems:
   closed-batch :class:`~repro.core.results.SimulationResult`), so job
   memory is O(in-flight jobs), not O(jobs ever);
 * **streaming accumulation** — waiting/turnaround distributions flow
-  into :class:`~repro.obs.metrics.Histogram` P² estimators
-  (P50/P90/P99), and idle leakage into per-core per-power integer cycle
-  counts folded at each reconfiguration.  The fold is bit-identical to
+  into :class:`~repro.obs.metrics.Histogram` log-bucket histograms
+  (P50/P90/P99 within :data:`~repro.obs.metrics.RELATIVE_ERROR` of the
+  exact quantiles, one bucket-count increment per observation), and
+  idle leakage into per-core per-power integer cycle counts folded at
+  each reconfiguration.  The fold is bit-identical to
   the reference's end-of-run residency walk: integer cycle sums are
   exact and order-free, and dict key order (first-seen static power) is
   chronological in both, so the final ``cycles * power``
@@ -41,8 +43,9 @@ What the loop adds for open systems:
 * **checkpoint/resume** — :meth:`StreamingSimulation.snapshot` captures
   a versioned, JSON-serialisable image of every piece of run state
   (job slots, queue, completion heap, RNG streams, knowledge state,
-  accumulators, P² markers) such that restoring it into a fresh engine
-  and finishing the run is bit-identical to never having stopped.
+  accumulators, histogram bucket counts) such that restoring it into a
+  fresh engine and finishing the run is bit-identical to never having
+  stopped.
 
 Bounded-queue and warm-up machinery never touches the arithmetic of
 the simulation itself, so an unbounded-queue stream truncated to N
@@ -82,8 +85,9 @@ __all__ = [
 #: Snapshot schema version; bumped on any layout change.  Loading a
 #: snapshot with a different version fails loudly.  v2 added the
 #: ``telemetry`` section (sample count + output byte offsets); v3 added
-#: the power axis (token-pool account + per-core DVFS points).
-STREAM_SNAPSHOT_VERSION = 3
+#: the power axis (token-pool account + per-core DVFS points); v4
+#: replaced the P² markers with the histograms' dense bucket counts.
+STREAM_SNAPSHOT_VERSION = 4
 
 #: Bounded-queue admission policies.
 ADMISSION_POLICIES = ("drop", "shed", "block")
@@ -360,8 +364,8 @@ class StreamingSimulation:
 
         ``closed_batch`` marks the ``SchedulerSimulation.run`` driver:
         it records closed residency intervals for the write-back, and,
-        since a closed batch reports no quantiles, it skips the P²
-        observations unless telemetry samples read them.
+        since a closed batch reports no quantiles, it skips the
+        histogram observations unless telemetry samples read them.
         """
         stream = cls.__new__(cls)
         stream._bind(tables, config, telemetry, closed_batch)
@@ -1900,8 +1904,8 @@ class StreamingSimulation:
         Everything the event loop reads is captured — job slots, queue
         order, the completion heap, buffered arrivals, the arrival
         process's RNG, per-core state, the idle-energy ledger,
-        knowledge state (profiling table, tuning sessions) and the P²
-        accumulators — so restoring into a freshly constructed engine
+        knowledge state (profiling table, tuning sessions) and the
+        histogram counts — so restoring into a freshly constructed engine
         continues bit-identically.  Floats survive the JSON round trip
         exactly (repr-based serialisation).
         """
@@ -2122,8 +2126,11 @@ class StreamingSimulation:
         missing file.
         """
         tmp = f"{path}.tmp"
+        # One compact string and one write: json.dump's chunked writes
+        # cost several times the encoding itself.
+        text = json.dumps(self.snapshot(), separators=(",", ":"))
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

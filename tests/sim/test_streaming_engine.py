@@ -23,13 +23,16 @@ import itertools
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.system import base_system, paper_system
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import RELATIVE_ERROR
 from repro.sim.stream import (
     ADMISSION_POLICIES,
+    STREAM_SNAPSHOT_VERSION,
     StreamConfig,
     StreamingSimulation,
     read_checkpoint,
@@ -65,6 +68,9 @@ GRID = [
 N_JOBS = 400
 MEAN_GAP = 30_000.0
 SEED = 3
+
+#: The paper's mean inter-arrival gap.
+PAPER_GAP = 56_000.0
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +363,38 @@ class TestStreamBounds:
         )
         assert result.turnaround["min"] >= waiting["min"]
 
+    def test_quantiles_within_bound_of_retained_records(
+        self, store, oracle, energy_table, specs
+    ):
+        """Reported P50/P90/P99 against numpy over every job record.
+
+        Each must lie within ``RELATIVE_ERROR`` of the bracket of order
+        statistics that ``numpy.quantile`` interpolates between.
+        """
+        result = _streaming(
+            "proposed", store, oracle, energy_table,
+            StreamConfig(max_jobs=2_000, retain_jobs=True),
+        ).run(_process(specs, mean_gap=PAPER_GAP, seed=1))
+        records = result.sim_result.jobs
+        assert result.observed_jobs == len(records) == 2_000
+        exact = {
+            "waiting": [r.waiting_cycles for r in records],
+            "turnaround": [
+                r.completion_cycle - r.arrival_cycle for r in records
+            ],
+        }
+        for name, values in exact.items():
+            data = np.asarray(values, dtype=float)
+            snapshot = getattr(result, name)
+            for key, p in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+                low = np.quantile(data, p, method="lower")
+                high = np.quantile(data, p, method="higher")
+                assert (
+                    low * (1 - RELATIVE_ERROR)
+                    <= snapshot[key]
+                    <= high * (1 + RELATIVE_ERROR)
+                ), (name, key, low, high, snapshot[key])
+
 
 class TestValidation:
     def test_config_requires_a_bound(self):
@@ -479,3 +517,22 @@ class TestDurableCheckpoint:
         assert resumed.resume(
             read_checkpoint(str(path)), _process(specs)
         ) == whole
+
+    def test_v3_checkpoint_refused(
+        self, store, oracle, energy_table, specs, tmp_path
+    ):
+        """A checkpoint carrying P² estimator state (v3) is not read."""
+        assert STREAM_SNAPSHOT_VERSION == 4
+        config = StreamConfig(max_jobs=N_JOBS)
+        killed = _streaming("proposed", store, oracle, energy_table, config)
+        killed.start(_process(specs))
+        killed.advance(max_completions=150)
+        snapshot = killed.snapshot()
+        snapshot["version"] = 3
+        resumed = _streaming(
+            "proposed", store, oracle, energy_table, config
+        )
+        with pytest.raises(
+            ValueError, match="unsupported stream snapshot version 3"
+        ):
+            resumed.resume(snapshot, _process(specs))
