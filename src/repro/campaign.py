@@ -28,7 +28,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.characterization.store import CharacterizationStore
@@ -39,8 +39,9 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.predictor import BestCorePredictor, OraclePredictor
-from repro.core.simulation import SchedulerSimulation
-from repro.core.system import base_system, paper_system
+from repro.core.runconfig import RunConfig
+from repro.core.simulation import SchedulerSimulation, resolve_engine
+from repro.core.system import system_for
 from repro.energy.tables import EnergyTable
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
@@ -439,6 +440,14 @@ class CampaignResult:
         return "\n".join(lines)
 
 
+#: :class:`~repro.sim.stream.StreamResult` fields an open-system
+#: replication reports as ``stream.*`` observed keys, in report order.
+_STREAM_OBSERVED = (
+    "jobs_generated", "jobs_dropped", "jobs_shed", "shed_rate",
+    "blocked_cycles", "observed_jobs", "throughput_jobs_per_mcycle",
+    "energy_rate_nj_per_cycle",
+)
+
 # Shared read-only state, installed once per worker by the pool
 # initializer (or once in-process on the serial path).
 _WORKER_STATE: dict = {}
@@ -448,116 +457,120 @@ def _init_worker(
     store: CharacterizationStore,
     predictor: BestCorePredictor,
     energy_table: EnergyTable,
-    discipline: str,
+    run: RunConfig,
     collect_metrics: bool = False,
     validate: bool = False,
 ) -> None:
     _WORKER_STATE["store"] = store
     _WORKER_STATE["predictor"] = predictor
     _WORKER_STATE["energy_table"] = energy_table
-    _WORKER_STATE["discipline"] = discipline
+    _WORKER_STATE["run"] = run
     _WORKER_STATE["collect_metrics"] = collect_metrics
     _WORKER_STATE["validate"] = validate
 
 
-def _pool_observed(simulation: SchedulerSimulation) -> Dict[str, float]:
-    """Flat ``power.*`` gauges of a powered run's token pool."""
-    pool = simulation.power_pool
-    if pool is None:
-        return {}
-    return {
-        f"power.{name}": float(value)
-        for name, value in pool.gauges().items()
-    }
-
-
 def _run_replication(spec: ReplicationSpec) -> ReplicationResult:
-    """Simulate one grid point (executed inside a worker process)."""
+    """Simulate one grid point (executed inside a worker process).
+
+    The workload — closed batch, task graphs or open stream — decides
+    only how the arrivals are generated and which extra keys ride back
+    through ``observed``, flat floats that cells aggregate like the
+    registry scalars.
+    """
     start = time.perf_counter()
     policy = make_policy(spec.policy)
-    system = base_system() if spec.policy == "base" else paper_system()
     registry = (
         MetricsRegistry() if _WORKER_STATE.get("collect_metrics") else None
     )
+    run = replace(_WORKER_STATE["run"], power=spec.power)
     simulation = SchedulerSimulation(
-        system,
+        system_for(spec.policy),
         policy,
         _WORKER_STATE["store"],
         predictor=(
             _WORKER_STATE["predictor"] if policy.uses_predictor else None
         ),
         energy_table=_WORKER_STATE["energy_table"],
-        discipline=_WORKER_STATE["discipline"],
         metrics=registry,
         validate=_WORKER_STATE.get("validate", False),
         faults=spec.fault_plan,
         engine=spec.engine,
-        power=spec.power,
+        **run.kwargs(),
     )
+    # Keys of the workload's own outcomes, after the registry scalars.
+    extra: Dict[str, float] = {}
+    suite = eembc_suite()
     if spec.stream is not None:
-        return _stream_replication(spec, simulation, start)
-    if spec.dag is not None:
-        return _dag_replication(spec, simulation, registry, start)
-    arrivals = uniform_arrivals(
-        eembc_suite(),
-        count=spec.count,
-        seed=spec.seed,
-        mean_interarrival_cycles=spec.mean_interarrival_cycles,
-    )
-    result = simulation.run(arrivals)
-    observed = dict(registry.scalars()) if registry is not None else {}
-    observed.update(_pool_observed(simulation))
-    return ReplicationResult(
-        spec=spec,
-        jobs_completed=result.jobs_completed,
-        makespan_cycles=result.makespan_cycles,
-        total_energy_nj=result.total_energy_nj,
-        idle_energy_nj=result.idle_energy_nj,
-        dynamic_energy_nj=result.dynamic_energy_nj,
-        mean_waiting_cycles=result.mean_waiting_cycles,
-        non_best_decisions=result.non_best_decisions,
-        seconds=time.perf_counter() - start,
-        observed=observed,
-    )
+        from repro.sim.stream import StreamConfig
+        from repro.workloads.arrivals import make_process
 
+        load = spec.stream
+        result = simulation.stream(
+            make_process(
+                load.process,
+                suite,
+                mean_interarrival_cycles=spec.mean_interarrival_cycles,
+                seed=spec.seed,
+                **dict(load.process_args),
+            ),
+            StreamConfig(
+                max_jobs=spec.count,
+                warmup_cycles=load.warmup_cycles,
+                queue_capacity=load.queue_capacity,
+                admission=load.admission,
+            ),
+        )
+        mean_waiting = result.waiting.get("mean", 0.0)
+        power = result.power
+        for name in _STREAM_OBSERVED:
+            extra[f"stream.{name}"] = float(getattr(result, name))
+        for prefix, snapshot in (
+            ("stream.waiting", result.waiting),
+            ("stream.turnaround", result.turnaround),
+        ):
+            for key, value in snapshot.items():
+                extra[f"{prefix}.{key}"] = value
+    elif spec.dag is not None:
+        from repro.workloads.dag import generate_task_graphs
 
-def _dag_replication(
-    spec: ReplicationSpec,
-    simulation: SchedulerSimulation,
-    registry: Optional[MetricsRegistry],
-    start: float,
-) -> ReplicationResult:
-    """Task-graph variant of one grid point (precedence-gated run)."""
-    from repro.workloads.dag import generate_task_graphs
-
-    load = spec.dag
-    graphs = generate_task_graphs(
-        count=spec.count,
-        seed=spec.seed,
-        benchmarks=[s.name for s in eembc_suite()],
-        tasks_min=load.tasks_min,
-        tasks_max=load.tasks_max,
-        edge_density=load.edge_density,
-        deadline_slack=load.deadline_slack,
-        criticality_levels=load.criticality_levels,
-        mean_interarrival_cycles=spec.mean_interarrival_cycles,
-    )
-    result = simulation.run_dags(graphs)
-    # Deadline/slack outcomes ride back through ``observed`` alongside
-    # any registry scalars, so cells aggregate them like every other
-    # per-replication metric.
-    observed = dict(registry.scalars()) if registry is not None else {}
-    observed.update(
-        {
+        load = spec.dag
+        graphs = generate_task_graphs(
+            count=spec.count,
+            seed=spec.seed,
+            benchmarks=[s.name for s in suite],
+            tasks_min=load.tasks_min,
+            tasks_max=load.tasks_max,
+            edge_density=load.edge_density,
+            deadline_slack=load.deadline_slack,
+            criticality_levels=load.criticality_levels,
+            mean_interarrival_cycles=spec.mean_interarrival_cycles,
+        )
+        result = simulation.run_dags(graphs)
+        extra.update({
             "dag.graphs": float(len(graphs)),
             "dag.tasks": float(sum(g.task_count for g in graphs)),
             "dag.edges": float(sum(g.edge_count for g in graphs)),
             "dag.deadline_jobs": float(result.deadline_jobs),
             "dag.deadline_misses": float(result.deadline_misses),
             "dag.deadline_miss_rate": result.deadline_miss_rate,
-        }
-    )
-    observed.update(_pool_observed(simulation))
+        })
+    else:
+        result = simulation.run(
+            uniform_arrivals(
+                suite,
+                count=spec.count,
+                seed=spec.seed,
+                mean_interarrival_cycles=spec.mean_interarrival_cycles,
+            )
+        )
+    if spec.stream is None:
+        mean_waiting = result.mean_waiting_cycles
+        pool = simulation.power_pool
+        power = None if pool is None else pool.gauges()
+    observed = dict(registry.scalars()) if registry is not None else {}
+    observed.update(extra)
+    for key, value in (power or {}).items():
+        observed[f"power.{key}"] = float(value)
     return ReplicationResult(
         spec=spec,
         jobs_completed=result.jobs_completed,
@@ -565,69 +578,7 @@ def _dag_replication(
         total_energy_nj=result.total_energy_nj,
         idle_energy_nj=result.idle_energy_nj,
         dynamic_energy_nj=result.dynamic_energy_nj,
-        mean_waiting_cycles=result.mean_waiting_cycles,
-        non_best_decisions=result.non_best_decisions,
-        seconds=time.perf_counter() - start,
-        observed=observed,
-    )
-
-
-def _stream_replication(
-    spec: ReplicationSpec, simulation: SchedulerSimulation, start: float
-) -> ReplicationResult:
-    """Open-system variant of one grid point."""
-    from repro.sim.stream import StreamConfig
-    from repro.workloads.arrivals import make_process
-
-    load = spec.stream
-    process = make_process(
-        load.process,
-        eembc_suite(),
-        mean_interarrival_cycles=spec.mean_interarrival_cycles,
-        seed=spec.seed,
-        **dict(load.process_args),
-    )
-    result = simulation.stream(
-        process,
-        StreamConfig(
-            max_jobs=spec.count,
-            warmup_cycles=load.warmup_cycles,
-            queue_capacity=load.queue_capacity,
-            admission=load.admission,
-        ),
-    )
-    # The windowed stream metrics ride back through ``observed`` (flat
-    # floats, exactly like registry scalars) so cells aggregate the
-    # quantile snapshots without retaining per-job state anywhere.
-    observed = {
-        "stream.jobs_generated": float(result.jobs_generated),
-        "stream.jobs_dropped": float(result.jobs_dropped),
-        "stream.jobs_shed": float(result.jobs_shed),
-        "stream.shed_rate": result.shed_rate,
-        "stream.blocked_cycles": float(result.blocked_cycles),
-        "stream.observed_jobs": float(result.observed_jobs),
-        "stream.throughput_jobs_per_mcycle": (
-            result.throughput_jobs_per_mcycle
-        ),
-        "stream.energy_rate_nj_per_cycle": result.energy_rate_nj_per_cycle,
-    }
-    for prefix, snapshot in (
-        ("stream.waiting", result.waiting),
-        ("stream.turnaround", result.turnaround),
-    ):
-        for key, value in snapshot.items():
-            observed[f"{prefix}.{key}"] = value
-    if result.power is not None:
-        for key, value in result.power.items():
-            observed[f"power.{key}"] = float(value)
-    return ReplicationResult(
-        spec=spec,
-        jobs_completed=result.jobs_completed,
-        makespan_cycles=result.makespan_cycles,
-        total_energy_nj=result.total_energy_nj,
-        idle_energy_nj=result.idle_energy_nj,
-        dynamic_energy_nj=result.dynamic_energy_nj,
-        mean_waiting_cycles=result.waiting.get("mean", 0.0),
+        mean_waiting_cycles=mean_waiting,
         non_best_decisions=result.non_best_decisions,
         seconds=time.perf_counter() - start,
         observed=observed,
@@ -770,21 +721,6 @@ def run_campaign(
             raise ValueError(
                 f"unknown policy {name!r}; choose from {ALL_POLICY_NAMES}"
             )
-    ordering = [p for p in policies if p in DEADLINE_POLICY_NAMES]
-    if ordering and engine == "fast":
-        raise ValueError(
-            f"engine='fast' does not implement the policy-ordered ready "
-            f"queue of {ordering}; deadline-aware policies run on the "
-            "reference engine only (use engine='auto' or "
-            "engine='reference')"
-        )
-    if ordering and stream is not None:
-        raise ValueError(
-            f"an open-system stream campaign cannot sweep the "
-            f"deadline-aware policies {ordering}: streaming is "
-            "fast-engine only and policy-ordered queues are "
-            "reference-engine only"
-        )
     if not seeds:
         raise ValueError("need at least one replication seed")
     if not loads:
@@ -814,34 +750,21 @@ def run_campaign(
         raise ValueError(
             "power configuration labels must be unique within a campaign"
         )
-    if engine not in SchedulerSimulation.ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from "
-            f"{SchedulerSimulation.ENGINES}"
-        )
-    if engine == "fast" and (
-        collect_metrics or validate or any(p is not None for p in fault_plans)
-    ):
-        # Fail the whole campaign up front instead of deep inside a
-        # worker process on the first replication.
-        raise ValueError(
-            "engine='fast' is incompatible with collect_metrics, validate "
-            "and fault plans; drop those options or use engine='reference'"
-        )
-    if stream is not None:
-        if (
+    # Fail the whole campaign up front instead of deep inside a worker
+    # process on the first replication.
+    resolve_engine(
+        engine,
+        hooks=(
             collect_metrics
             or validate
             or any(p is not None for p in fault_plans)
-            or engine == "reference"
-        ):
-            raise ValueError(
-                "an open-system stream campaign is incompatible with "
-                "collect_metrics, validate, fault plans and "
-                "engine='reference': streaming runs hook-free on the "
-                "fast engine.  Drop those options and read the windowed "
-                "stream.* metrics from CampaignCell.observed instead."
-            )
+        ),
+        ordering=[p for p in policies if p in DEADLINE_POLICY_NAMES],
+        stream=stream is not None,
+        dag=dag is not None,
+    )
+    run = RunConfig(discipline=discipline)
+    if stream is not None:
         from repro.sim.stream import ADMISSION_POLICIES
 
         if stream.admission not in ADMISSION_POLICIES:
@@ -850,18 +773,6 @@ def run_campaign(
                 f"choose from {ADMISSION_POLICIES}"
             )
     if dag is not None:
-        if stream is not None:
-            raise ValueError(
-                "the dag and stream axes are mutually exclusive: "
-                "task-graph runs are closed-batch on the reference "
-                "engine, streaming is open-system on the fast engine"
-            )
-        if engine == "fast":
-            raise ValueError(
-                "engine='fast' does not implement precedence gating; "
-                "DAG campaigns run on the reference engine (use "
-                "engine='auto' or engine='reference')"
-            )
         if not 0 < dag.tasks_min <= dag.tasks_max:
             raise ValueError("need 0 < tasks_min <= tasks_max")
         if not 0.0 <= dag.edge_density <= 1.0:
@@ -909,7 +820,7 @@ def run_campaign(
     if progress is not None:
         progress(0, len(specs))
     if workers == 1 or len(specs) <= 1:
-        _init_worker(store, predictor, energy_table, discipline,
+        _init_worker(store, predictor, energy_table, run,
                      collect_metrics, validate)
         replications = []
         for spec in specs:
@@ -921,7 +832,7 @@ def run_campaign(
         with ctx.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(store, predictor, energy_table, discipline,
+            initargs=(store, predictor, energy_table, run,
                       collect_metrics, validate),
         ) as pool:
             if progress is None:
@@ -934,68 +845,48 @@ def run_campaign(
     wall_seconds = time.perf_counter() - start
     logger.info("campaign: finished in %.2fs", wall_seconds)
 
+    # One pass: a cell is every replication whose spec differs only in
+    # its seed.  Specs are frozen pure-data dataclasses, so the key
+    # compares by value — the pool's pickled copies land in the same
+    # cell — and first-seen order is the grid order.
+    by_cell: Dict[ReplicationSpec, list] = {}
+    for replication in replications:
+        key = replace(replication.spec, seed=0)
+        by_cell.setdefault(key, []).append(replication)
     powered = any(p is not None for p in power_configs)
     cells = []
-    for policy in policies:
-        for count, gap in loads:
-            for plan in fault_plans:
-                for pcfg in power_configs:
-                    members = [
-                        r
-                        for r in replications
-                        if r.spec.policy == policy
-                        and r.spec.count == count
-                        and r.spec.mean_interarrival_cycles == gap
-                        # Value equality, not identity: the worker pool
-                        # pickles specs, so the replication's plan and
-                        # power config are round-tripped copies.  Both
-                        # are frozen pure-data dataclasses, and sweep
-                        # entries are validated unique, so equality is
-                        # exact membership.
-                        and r.spec.fault_plan == plan
-                        and r.spec.power == pcfg
-                    ]
-                    metrics = {
-                        name: _aggregate([m.metric(name) for m in members])
-                        for name in CAMPAIGN_METRICS
-                    }
-                    # Registry scalars aggregate over the union of keys
-                    # (missing keys default to 0.0, matching a
-                    # never-incremented counter), so cells stay
-                    # well-formed even across heterogeneous runs.
-                    observed: Dict[str, MetricAggregate] = {}
-                    if members and (
-                        collect_metrics
-                        or stream is not None
-                        or dag is not None
-                        or powered
-                    ):
-                        keys = sorted(
-                            {key for m in members for key in m.observed}
-                        )
-                        observed = {
-                            key: _aggregate(
-                                [m.observed.get(key, 0.0) for m in members]
-                            )
-                            for key in keys
-                        }
-                    cells.append(
-                        CampaignCell(
-                            policy=policy,
-                            count=count,
-                            mean_interarrival_cycles=gap,
-                            metrics=metrics,
-                            n=len(members),
-                            observed=observed,
-                            faults=None if plan is None else plan.name,
-                            engine=engine,
-                            stream=(
-                                None if stream is None else stream.process
-                            ),
-                            dag=dag is not None,
-                            power=None if pcfg is None else pcfg.label,
-                        )
-                    )
+    for spec, members in by_cell.items():
+        metrics = {
+            name: _aggregate([m.metric(name) for m in members])
+            for name in CAMPAIGN_METRICS
+        }
+        # Registry scalars aggregate over the union of keys (missing
+        # keys default to 0.0, matching a never-incremented counter),
+        # so cells stay well-formed even across heterogeneous runs.
+        observed: Dict[str, MetricAggregate] = {}
+        if collect_metrics or stream is not None or dag is not None or powered:
+            keys = sorted({key for m in members for key in m.observed})
+            observed = {
+                key: _aggregate([m.observed.get(key, 0.0) for m in members])
+                for key in keys
+            }
+        cells.append(
+            CampaignCell(
+                policy=spec.policy,
+                count=spec.count,
+                mean_interarrival_cycles=spec.mean_interarrival_cycles,
+                metrics=metrics,
+                n=len(members),
+                observed=observed,
+                faults=(
+                    None if spec.fault_plan is None else spec.fault_plan.name
+                ),
+                engine=engine,
+                stream=None if stream is None else stream.process,
+                dag=dag is not None,
+                power=None if spec.power is None else spec.power.label,
+            )
+        )
 
     return CampaignResult(
         replications=tuple(replications),

@@ -66,6 +66,17 @@ from repro.analysis import (
     render_result_summary,
 )
 from repro.analysis.export import results_to_csv, results_to_json
+from repro.core.policies import (
+    ALL_POLICY_NAMES,
+    DEADLINE_POLICY_NAMES,
+    POLICY_NAMES,
+    make_policy,
+)
+from repro.core.runconfig import RunConfig
+from repro.core.simulation import SchedulerSimulation, resolve_engine
+from repro.core.system import system_for
+from repro.sim.stream import ADMISSION_POLICIES
+from repro.workloads.arrivals import PROCESS_KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -100,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="mean inter-arrival gap in cycles")
     compare.add_argument("--predictor", choices=("ann", "oracle"),
                          default="ann")
-    compare.add_argument("--discipline", choices=("fifo", "priority", "edf"),
+    compare.add_argument("--discipline", choices=RunConfig.DISCIPLINES,
                          default="fifo")
     compare.add_argument("--csv", metavar="PATH",
                          help="write per-system summary CSV")
@@ -123,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "into every policy's run (see the faults "
                               "subcommand)")
     compare.add_argument("--engine",
-                         choices=("auto", "fast", "reference"),
+                         choices=SchedulerSimulation.ENGINES,
                          default="auto",
                          help="simulation engine: 'fast' is the "
                               "struct-of-arrays loop (bit-identical, "
@@ -183,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument("--policies", nargs="+",
                           default=["base", "proposed"],
-                          choices=("base", "optimal", "energy_centric",
-                                   "proposed", "edf", "heft"),
+                          choices=ALL_POLICY_NAMES,
                           help="policies to sweep ('edf'/'heft' order "
                                "the ready queue and need the reference "
                                "engine)")
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--predictor", choices=("ann", "oracle"),
                           default="oracle")
     campaign.add_argument("--discipline",
-                          choices=("fifo", "priority", "edf"),
+                          choices=RunConfig.DISCIPLINES,
                           default="fifo")
     campaign.add_argument("--workers", type=int, default=None,
                           help="worker processes (default: one per CPU)")
@@ -217,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "axis (a clean no-fault cell is always "
                                "included)")
     campaign.add_argument("--engine",
-                          choices=("auto", "fast", "reference"),
+                          choices=SchedulerSimulation.ENGINES,
                           default="auto",
                           help="simulation engine for every replication "
                                "('fast' is incompatible with "
                                "--metrics-out/--validate/--faults; "
                                "default: auto)")
     campaign.add_argument("--stream",
-                          choices=("poisson", "mmpp", "diurnal"),
+                          choices=PROCESS_KINDS,
                           default=None,
                           help="open-system load axis: stream each "
                                "replication's arrivals through the "
@@ -235,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="ready-queue bound for --stream runs "
                                "(default: unbounded)")
     campaign.add_argument("--admission",
-                          choices=("drop", "shed", "block"),
+                          choices=ADMISSION_POLICIES,
                           default="block",
                           help="admission policy under a full queue "
                                "for --stream runs (default: block)")
@@ -280,12 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-system streaming run: unbounded arrivals in bounded "
              "memory, with checkpoint/resume",
     )
-    stream.add_argument("--policy",
-                        choices=("base", "optimal", "energy_centric",
-                                 "proposed"),
+    stream.add_argument("--policy", choices=POLICY_NAMES,
                         default="proposed")
-    stream.add_argument("--process",
-                        choices=("poisson", "mmpp", "diurnal"),
+    stream.add_argument("--process", choices=PROCESS_KINDS,
                         default="poisson",
                         help="arrival process (default: poisson)")
     stream.add_argument("--max-jobs", type=int, default=None,
@@ -301,12 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "from the latency quantiles")
     stream.add_argument("--queue-capacity", type=int, default=None,
                         help="ready-queue bound (default: unbounded)")
-    stream.add_argument("--admission",
-                        choices=("drop", "shed", "block"),
+    stream.add_argument("--admission", choices=ADMISSION_POLICIES,
                         default="block",
                         help="admission policy under a full queue")
-    stream.add_argument("--discipline",
-                        choices=("fifo", "priority", "edf"),
+    stream.add_argument("--discipline", choices=RunConfig.DISCIPLINES,
                         default="fifo")
     stream.add_argument("--predictor", choices=("ann", "oracle"),
                         default="oracle")
@@ -589,41 +594,22 @@ def _make_telemetry(args, *, label: str = "", policy: str = None):
 
 
 def _cmd_compare(args) -> int:
-    from repro.core.simulation import SchedulerSimulation
-    from repro.core.policies import POLICY_NAMES, make_policy
-    from repro.core.system import base_system, paper_system
     from repro.experiment import default_predictor, default_store
     from repro.obs import JsonlRecorder, MetricsRegistry
     from repro.workloads import eembc_suite, uniform_arrivals
 
-    if args.engine == "fast" and (
-        args.trace or args.metrics_out or args.validate or args.faults
-    ):
-        print(
-            "error: --engine fast is incompatible with --trace, "
-            "--metrics-out, --validate and --faults; drop those "
-            "options or use --engine reference",
-            file=sys.stderr,
+    try:
+        resolve_engine(
+            args.engine,
+            hooks=bool(
+                args.trace or args.metrics_out or args.validate
+                or args.faults
+            ),
+            telemetry=_wants_telemetry(args),
         )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    if _wants_telemetry(args):
-        if args.trace or args.metrics_out or args.validate or args.faults:
-            print(
-                "error: --telemetry-out/--sampled-trace/--progress are "
-                "the sampled observability of the fast engine and are "
-                "incompatible with the full-fidelity hooks (--trace, "
-                "--metrics-out, --validate, --faults); drop one side",
-                file=sys.stderr,
-            )
-            return 2
-        if args.engine == "reference":
-            print(
-                "error: --engine reference has the full-fidelity hooks "
-                "instead of sampled telemetry; drop --engine reference "
-                "or the telemetry flags",
-                file=sys.stderr,
-            )
-            return 2
     fault_plan = None
     if args.faults:
         from repro.faults import load_plan
@@ -655,14 +641,13 @@ def _cmd_compare(args) -> int:
     pools = {}
     for name in POLICY_NAMES:
         policy = make_policy(name)
-        system = base_system() if name == "base" else paper_system()
         recorder = None
         registry = MetricsRegistry() if args.metrics_out else None
         if args.trace:
             recorder = JsonlRecorder(_per_policy_path(args.trace, name))
         telemetry = _make_telemetry(args, label=name, policy=name)
         sim = SchedulerSimulation(
-            system, policy, store,
+            system_for(name), policy, store,
             predictor=predictor if policy.uses_predictor else None,
             discipline=args.discipline,
             recorder=recorder,
@@ -894,50 +879,22 @@ def _cmd_campaign(args) -> int:
         run_campaign,
     )
 
-    if args.engine == "fast" and (
-        args.metrics_out or args.validate or args.faults
-    ):
-        print(
-            "error: --engine fast is incompatible with --metrics-out, "
-            "--validate and --faults; drop those options or use "
-            "--engine reference",
-            file=sys.stderr,
+    try:
+        resolve_engine(
+            args.engine,
+            hooks=bool(args.metrics_out or args.validate or args.faults),
+            ordering=[
+                name for name in args.policies
+                if name in DEADLINE_POLICY_NAMES
+            ],
+            stream=args.stream is not None,
+            dag=args.dag,
         )
-        return 2
-    ordering = sorted(set(args.policies) & {"edf", "heft"})
-    if ordering and args.engine == "fast":
-        print(
-            f"error: policies {ordering} order the ready queue, which "
-            "the fast engine does not implement; use --engine auto or "
-            "--engine reference",
-            file=sys.stderr,
-        )
-        return 2
-    if ordering and args.stream:
-        print(
-            f"error: policies {ordering} are incompatible with "
-            "--stream (the streaming engine runs discipline-ordered "
-            "queues only; use --discipline edf instead)",
-            file=sys.stderr,
-        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     dag_load = None
     if args.dag:
-        if args.stream:
-            print(
-                "error: --dag and --stream are mutually exclusive load "
-                "axes",
-                file=sys.stderr,
-            )
-            return 2
-        if args.engine == "fast":
-            print(
-                "error: --dag needs the reference engine for "
-                "precedence gating; use --engine auto or "
-                "--engine reference",
-                file=sys.stderr,
-            )
-            return 2
         from repro.campaign import DagLoad
 
         dag_load = DagLoad(
@@ -949,15 +906,6 @@ def _cmd_campaign(args) -> int:
         )
     stream_load = None
     if args.stream:
-        if args.metrics_out or args.validate or args.faults:
-            print(
-                "error: --stream is incompatible with --metrics-out, "
-                "--validate and --faults (streaming runs hook-free on "
-                "the fast engine); the windowed stream.* metrics are "
-                "in the campaign output instead",
-                file=sys.stderr,
-            )
-            return 2
         from repro.campaign import StreamLoad
 
         stream_load = StreamLoad(
@@ -1068,9 +1016,6 @@ def _cmd_campaign(args) -> int:
 def _cmd_stream(args) -> int:
     import dataclasses
 
-    from repro.core.policies import make_policy
-    from repro.core.simulation import SchedulerSimulation
-    from repro.core.system import base_system, paper_system
     from repro.experiment import default_predictor, default_store
     from repro.sim.stream import StreamConfig
     from repro.workloads import eembc_suite, make_process
@@ -1123,7 +1068,6 @@ def _cmd_stream(args) -> int:
         predictor = default_predictor(
             store, kind=args.predictor, seed=args.seed
         )
-    system = base_system() if args.policy == "base" else paper_system()
     try:
         power = _parse_power(args)
         telemetry = _make_telemetry(args, label=f"stream:{args.policy}")
@@ -1131,7 +1075,7 @@ def _cmd_stream(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     sim = SchedulerSimulation(
-        system, policy, store,
+        system_for(args.policy), policy, store,
         predictor=predictor, discipline=args.discipline,
         telemetry=telemetry, power=power,
     )

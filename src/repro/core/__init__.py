@@ -31,6 +31,7 @@ from .predictor import (
 )
 from .profiling import ApplicationProfile, ExecutionRecord, ProfilingTable
 from .results import BenchmarkStats, JobRecord, SimulationResult
+from .runconfig import RunConfig
 from .scheduler import Assignment, CoreState, Job
 from .simulation import SchedulerSimulation
 from .system import CoreSpec, SystemConfig, base_system, paper_system, scaled_system
@@ -58,6 +59,7 @@ __all__ = [
     "ProfilingTable",
     "ProposedPolicy",
     "RegressorPredictor",
+    "RunConfig",
     "SchedulerSimulation",
     "SchedulingPolicy",
     "SimulationResult",

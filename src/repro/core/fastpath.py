@@ -6,10 +6,13 @@ one struct-of-arrays loop, :class:`~repro.sim.stream.StreamingSimulation`:
 :class:`~repro.workloads.arrivals.ReplayProcess` as a finite stream that
 retains every job record, built over the
 :class:`~repro.sim.fast.FastSimulation` tables prebuilt at construction.
-It then writes the stream's end-of-run state back into the reference
-object — engine clock and counters, core occupancy/tuner/residency
-state, the profiling table, tuning sessions and the decision
-accumulators — so post-run introspection (``sim.engine.processed``,
+:func:`build_fast` hands the tables the simulation's validated
+:class:`~repro.core.runconfig.RunConfig` as is, so no run setting is
+re-declared or re-checked here.  :func:`run_fast` then writes the
+stream's end-of-run state back into the reference object — engine
+clock and counters, core occupancy/tuner/residency state, the
+profiling table, tuning sessions and the decision accumulators — so
+post-run introspection (``sim.engine.processed``,
 ``sim.cores[i].busy_cycles``, ``sim.table``, ``sim.heuristic``)
 observes exactly what a reference run would have left behind.
 """
@@ -36,20 +39,10 @@ _ACCUMULATORS = (
 
 
 def build_fast(sim) -> FastSimulation:
-    """The SoA tables mirroring ``sim``'s configuration."""
+    """The SoA tables of ``sim``'s run."""
     return FastSimulation(
-        sim.system,
-        sim.policy,
-        sim.store,
-        predictor=sim.predictor,
-        energy_table=sim.energy_table,
-        tuner_costs=sim._tuner_costs,
-        profiling_overhead_fraction=sim.profiling_overhead_fraction,
-        discipline=sim.discipline,
-        preemptive=sim.preemptive,
-        preemption_quantum_cycles=sim.preemption_quantum_cycles,
-        preload_profiles=sim._preload_profiles_requested,
-        power=sim.power,
+        sim.system, sim.policy, sim.store, sim.predictor, sim.energy_table,
+        sim.run_config,
     )
 
 

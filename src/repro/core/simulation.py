@@ -29,6 +29,7 @@ from repro.core.policies import SchedulingPolicy
 from repro.core.predictor import BestCorePredictor
 from repro.core.profiling import ProfilingTable
 from repro.core.results import JobRecord, SimulationResult
+from repro.core.runconfig import RunConfig
 from repro.core.scheduler import Assignment, CoreState, Job
 from repro.core.system import SystemConfig
 from repro.core.tuning import TuningHeuristic
@@ -52,12 +53,13 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.power.budget import TokenPool
 from repro.sim.engine import EventEngine
 from repro.sim.events import Event, EventKind
 from repro.sim.queueing import ReadyQueue
 from repro.workloads.arrivals import JobArrival
 
-__all__ = ["SchedulerSimulation"]
+__all__ = ["SchedulerSimulation", "resolve_engine"]
 
 #: Counters pre-registered when a metrics registry is attached, so every
 #: traced run reports a uniform key set (campaign cells aggregate these
@@ -102,6 +104,103 @@ _POWER_COUNTERS = (
     "sim.power.degraded",
     "sim.power.overdrafts",
 )
+
+
+#: Engine selection modes (``SchedulerSimulation.ENGINES``).
+ENGINES = ("auto", "fast", "reference")
+
+
+def resolve_engine(
+    engine: str = "auto",
+    *,
+    hooks: bool = False,
+    telemetry: bool = False,
+    ordering: Sequence[str] = (),
+    stream: bool = False,
+    dag: bool = False,
+) -> str:
+    """The engine a run resolves to, or a ``ValueError`` saying why not.
+
+    The one copy of the engine-compatibility rules; the simulation, the
+    campaign and the CLI all call it before doing any work.
+
+    ``engine`` is the requested mode (one of :data:`ENGINES`).
+    ``hooks`` says a per-event hook is attached (tracing, metrics,
+    validation, fault injection, or a policy that chooses DVFS points
+    under a power budget); ``telemetry`` says sampled telemetry is.
+    ``ordering`` names the queue-ordering policies of the run
+    (``policy.orders_queue``).  ``stream`` / ``dag`` select the
+    open-system or task-graph workload; neither is a closed batch.
+
+    Returns ``"fast"`` (the struct-of-arrays loop) or ``"reference"``.
+    """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose from {ENGINES}"
+        )
+    if stream and dag:
+        raise ValueError(
+            "the dag and stream workloads are mutually exclusive: "
+            "task-graph runs are closed-batch on the reference "
+            "engine, streaming is open-system on the fast engine"
+        )
+    if ordering and stream:
+        raise ValueError(
+            f"streaming does not support the policy-ordered ready "
+            f"queue of {list(ordering)} (reference engine only); use "
+            "a queue discipline (discipline='edf', or --discipline edf "
+            "on the CLI) for deadline ordering in open-system runs"
+        )
+    if ordering and engine == "fast":
+        raise ValueError(
+            f"engine='fast' does not implement the policy-ordered "
+            f"ready queue of {list(ordering)}: deadline-aware "
+            "ordering policies run on the reference engine only, not "
+            "the fast engine (use engine='auto' or engine='reference')"
+        )
+    if dag and engine == "fast":
+        raise ValueError(
+            "engine='fast' does not implement precedence gating: a "
+            "DAG task is released only when its predecessors "
+            "complete, which hooks the reference loop's completion "
+            "path.  Use engine='auto' or engine='reference' for "
+            "task-graph workloads"
+        )
+    if stream:
+        if hooks or engine == "reference":
+            raise ValueError(
+                "streaming is incompatible with tracing, metrics, "
+                "validation, fault injection and engine='reference': "
+                "an open-system run is unbounded, so per-event hooks "
+                "would retain unbounded state.  Drop the hooks (use "
+                "engine='auto' or 'fast') and attach sampled telemetry "
+                "or read the windowed metrics of the result instead "
+                "(waiting/turnaround quantiles, throughput, energy and "
+                "shed rates, accumulated in O(1) memory)"
+            )
+        return "fast"
+    if engine == "fast" and hooks:
+        raise ValueError(
+            "engine='fast' is incompatible with tracing, metrics, "
+            "validation and fault injection; drop those hooks or "
+            "use engine='reference'.  For low-overhead visibility "
+            "on the fast engine, attach sampled telemetry instead "
+            "(telemetry=Telemetry(...), or --telemetry-out / "
+            "--progress on the CLI)"
+        )
+    if dag or hooks or ordering or engine == "reference":
+        if telemetry:
+            raise ValueError(
+                "telemetry is the sampled observability of the fast and "
+                "streaming engines and is incompatible with the "
+                "reference engine, which has the full-fidelity hooks "
+                "(recorder/metrics/validate/faults) instead and alone "
+                "runs queue-ordering policies and DAG workloads.  Drop "
+                "telemetry, or drop what needs the reference engine so "
+                "engine='auto' picks the fast one"
+            )
+        return "reference"
+    return "fast"
 
 
 class _PendingExecution:
@@ -254,11 +353,9 @@ class SchedulerSimulation:
         ``power=None`` on every engine.  See ``docs/power.md``.
     """
 
-    #: Queue disciplines supported by the dispatcher.
-    DISCIPLINES = ("fifo", "priority", "edf")
-
-    #: Engine selection modes accepted by the ``engine`` parameter.
-    ENGINES = ("auto", "fast", "reference")
+    #: Engine selection modes accepted by the ``engine`` parameter;
+    #: :func:`resolve_engine` holds the rules for which one runs.
+    ENGINES = ENGINES
 
     def __init__(
         self,
@@ -286,35 +383,46 @@ class SchedulerSimulation:
             raise ValueError(
                 f"policy {policy.name!r} needs a predictor"
             )
-        if profiling_overhead_fraction < 0:
-            raise ValueError("profiling_overhead_fraction must be >= 0")
-        if discipline not in self.DISCIPLINES:
-            raise ValueError(
-                f"unknown discipline {discipline!r}; "
-                f"choose from {self.DISCIPLINES}"
+        run = RunConfig(
+            discipline=discipline,
+            preemptive=preemptive,
+            preemption_quantum_cycles=preemption_quantum_cycles,
+            profiling_overhead_fraction=profiling_overhead_fraction,
+            preload_profiles=preload_profiles,
+            tuner_costs=tuner_costs,
+            power=power,
+        )
+        #: Whether a per-event hook needs the reference loop.  The SoA
+        #: loop implements the power gate itself, but a policy that
+        #: *chooses* operating points needs the reference loop's
+        #: per-dispatch hook.
+        self._hooked = (
+            (recorder is not None and recorder.enabled)
+            or metrics is not None
+            or validate
+            or faults is not None
+            or (
+                run.power is not None
+                and type(policy).choose_dvfs
+                is not SchedulingPolicy.choose_dvfs
             )
-        if preemptive and discipline == "fifo":
-            raise ValueError(
-                "preemption needs an urgency order; use the 'priority' "
-                "or 'edf' discipline"
-            )
-        if preemption_quantum_cycles < 0:
-            raise ValueError("preemption_quantum_cycles must be >= 0")
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {self.ENGINES}"
-            )
-        if engine == "fast" and policy.orders_queue:
-            raise ValueError(
-                f"engine='fast' does not implement the policy-ordered "
-                f"ready queue of policy {policy.name!r}; deadline-aware "
-                "ordering policies run on the reference engine only "
-                "(use engine='auto' or engine='reference')"
-            )
+        )
+        self._ordering = (policy.name,) if policy.orders_queue else ()
+        #: The engine :meth:`run` uses (``"fast"`` or ``"reference"``).
+        self._engine = resolve_engine(
+            engine,
+            hooks=self._hooked,
+            telemetry=telemetry is not None,
+            ordering=self._ordering,
+        )
         self.engine_mode = engine
-        self.discipline = discipline
-        self.preemptive = preemptive
-        self.preemption_quantum_cycles = preemption_quantum_cycles
+        self.run_config = run
+        # The reference loop reads these per event: plain attributes,
+        # not ``run_config`` indirection.
+        self.discipline = run.discipline
+        self.preemptive = run.preemptive
+        self.preemption_quantum_cycles = run.preemption_quantum_cycles
+        self.profiling_overhead_fraction = run.profiling_overhead_fraction
         #: Jobs already preempted at the *current* timestamp (bounds
         #: churn when the policy then declines the freed core).  Only
         #: one timestamp's set is ever retained — keyed storage would
@@ -329,10 +437,6 @@ class SchedulerSimulation:
         self.energy_table = (
             energy_table if energy_table is not None else EnergyTable()
         )
-        self.profiling_overhead_fraction = profiling_overhead_fraction
-        #: Kept for the fast path, which builds its own core state.
-        self._tuner_costs = tuner_costs
-        self._preload_profiles_requested = preload_profiles
         #: ((queue.mutations, policy.order_version), view) pair backing
         #: :meth:`_queue_view`.
         self._queue_view_cache = None
@@ -351,7 +455,7 @@ class SchedulerSimulation:
         self.engine = EventEngine()
         self.queue: ReadyQueue[Job] = ReadyQueue()
         self.cores: List[CoreState] = [
-            CoreState(spec, tuner_costs) for spec in system.cores
+            CoreState(spec, run.tuner_costs) for spec in system.cores
         ]
         self.table = ProfilingTable()
         self.heuristic = TuningHeuristic()
@@ -371,10 +475,9 @@ class SchedulerSimulation:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.metrics = metrics
         #: Sampled telemetry sink (:mod:`repro.obs.telemetry`) for the
-        #: SoA event loop (fast and streaming runs).  Deliberately NOT
-        #: part of :meth:`_fast_eligible`: telemetry fires on chunk
-        #: boundaries only, so requesting it keeps ``engine="auto"`` on
-        #: the fast path.
+        #: SoA event loop (fast and streaming runs).  Deliberately not a
+        #: hook: telemetry fires on chunk boundaries only, so requesting
+        #: it keeps ``engine="auto"`` on the fast path.
         self.telemetry = telemetry
         #: Job id the policy just flagged as a non-best dispatch; consumed
         #: by :meth:`_start` to categorise the execution it opens.
@@ -415,39 +518,15 @@ class SchedulerSimulation:
         #: Normalised power configuration (``None`` when nothing is
         #: enabled, so every power-off path is byte-for-byte the
         #: pre-power code) and its runtime token pool.
-        self.power = None
+        self.power = run.power
         self._power_pool = None
-        if power is not None:
-            # Imported lazily: the default path stays free of the power
-            # layer entirely.
-            from repro.power.budget import TokenPool, normalize_power
+        if run.power is not None:
+            self._power_pool = TokenPool(run.power)
+            if metrics is not None:
+                for name in _POWER_COUNTERS:
+                    metrics.counter(name)
 
-            self.power = normalize_power(power)
-            if self.power is not None:
-                self._power_pool = TokenPool(self.power)
-                if metrics is not None:
-                    for name in _POWER_COUNTERS:
-                        metrics.counter(name)
-
-        if engine == "fast" and not self._fast_eligible():
-            raise ValueError(
-                "engine='fast' is incompatible with tracing, metrics, "
-                "validation and fault injection; drop those hooks or "
-                "use engine='reference'.  For low-overhead visibility "
-                "on the fast engine, attach sampled telemetry instead "
-                "(telemetry=Telemetry(...), or --telemetry-out / "
-                "--progress on the CLI)"
-            )
-        if telemetry is not None and self._resolve_engine() == "reference":
-            raise ValueError(
-                "telemetry is the sampled observability of the fast and "
-                "streaming engines; the reference engine has the "
-                "full-fidelity hooks (recorder/metrics/validate/faults) "
-                "instead.  Drop the hooks so engine='auto' picks the "
-                "fast engine, or drop telemetry"
-            )
-
-        if preload_profiles:
+        if run.preload_profiles:
             self._preload_profiles()
 
         # When the fast engine is already known to run, build it now:
@@ -462,29 +541,9 @@ class SchedulerSimulation:
 
     # -- engine selection ----------------------------------------------------
 
-    def _fast_eligible(self) -> bool:
-        """Whether the hook-free fast engine may run this simulation."""
-        return (
-            not self.recorder.enabled
-            and self.metrics is None
-            and self._validator is None
-            and self._faults is None
-            and not self.policy.orders_queue
-            # The fast engine implements the power gate itself, but a
-            # policy that *chooses* operating points needs the
-            # reference loop's per-dispatch hook.
-            and (
-                self.power is None
-                or type(self.policy).choose_dvfs
-                is SchedulingPolicy.choose_dvfs
-            )
-        )
-
     def _resolve_engine(self) -> str:
         """The engine :meth:`run` will actually use."""
-        if self.engine_mode == "auto":
-            return "fast" if self._fast_eligible() else "reference"
-        return self.engine_mode
+        return self._engine
 
     def _preload_profiles(self) -> None:
         """Install design-time profiling/tuning knowledge (§IV.B)."""
@@ -627,27 +686,13 @@ class SchedulerSimulation:
         fires at refill boundaries in O(1) memory, so it rides along on
         the fast path and into the stream's checkpoints.
         """
-        if self.policy.orders_queue:
-            raise ValueError(
-                f"streaming does not support the policy-ordered ready "
-                f"queue of policy {self.policy.name!r} (reference engine "
-                "only); use a queue discipline (e.g. discipline='edf') "
-                "for deadline ordering in open-system runs"
-            )
-        if self.engine_mode == "reference" or not self._fast_eligible():
-            raise ValueError(
-                "streaming is incompatible with tracing, metrics, "
-                "validation, fault injection and engine='reference': "
-                "an open-system run is unbounded, so per-event hooks "
-                "would retain unbounded state.  Drop the hooks (use "
-                "engine='auto' or 'fast') and either attach sampled "
-                "telemetry (telemetry=Telemetry(...), or "
-                "--telemetry-out / --progress on the CLI) for "
-                "chunk-boundary time-series, or read windowed metrics "
-                "from the StreamResult — waiting/turnaround "
-                "P50/P90/P99 snapshots, throughput, energy and shed "
-                "rates are accumulated in O(1) memory."
-            )
+        resolve_engine(
+            self.engine_mode,
+            hooks=self._hooked,
+            telemetry=self.telemetry is not None,
+            ordering=self._ordering,
+            stream=True,
+        )
         from repro.core.fastpath import take_tables
         from repro.sim.stream import StreamingSimulation, read_checkpoint
 
@@ -736,21 +781,13 @@ class SchedulerSimulation:
 
         if not graphs:
             raise ValueError("need at least one task graph")
-        if self.engine_mode == "fast":
-            raise ValueError(
-                "engine='fast' does not implement precedence gating: a "
-                "DAG task is released only when its predecessors "
-                "complete, which hooks the reference loop's completion "
-                "path.  Use engine='auto' or engine='reference' for "
-                "task-graph workloads"
-            )
-        if self.telemetry is not None:
-            raise ValueError(
-                "telemetry is the sampled observability of the fast and "
-                "streaming engines, and DAG runs are reference-engine "
-                "only; drop telemetry (attach recorder/metrics hooks "
-                "for full-fidelity DAG observability instead)"
-            )
+        resolve_engine(
+            self.engine_mode,
+            hooks=self._hooked,
+            telemetry=self.telemetry is not None,
+            ordering=self._ordering,
+            dag=True,
+        )
         seen_graphs: set = set()
         for graph in graphs:
             if not isinstance(graph, TaskGraph):

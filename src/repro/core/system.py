@@ -34,6 +34,7 @@ __all__ = [
     "paper_system",
     "base_system",
     "scaled_system",
+    "system_for",
 ]
 
 
@@ -228,3 +229,12 @@ def base_system(num_cores: int = 4) -> SystemConfig:
             )
         )
     return SystemConfig(cores=tuple(cores))
+
+
+def system_for(policy_name: str) -> SystemConfig:
+    """The machine a named policy is evaluated on.
+
+    The paper's base system runs the ``base`` policy; every other
+    policy runs on the heterogeneous quad-core.
+    """
+    return base_system() if policy_name == "base" else paper_system()

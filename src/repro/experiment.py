@@ -49,7 +49,7 @@ from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.predictor import AnnPredictor, BestCorePredictor, OraclePredictor
 from repro.core.results import SimulationResult
 from repro.core.simulation import SchedulerSimulation
-from repro.core.system import base_system, paper_system
+from repro.core.system import system_for
 from repro.energy.tables import EnergyTable
 from repro.workloads.arrivals import JobArrival, uniform_arrivals
 from repro.workloads.eembc import eembc_suite
@@ -347,9 +347,8 @@ def run_four_systems(
     results: Dict[str, SimulationResult] = {}
     for name in policies:
         policy = make_policy(name)
-        system = base_system() if name == "base" else paper_system()
         simulation = SchedulerSimulation(
-            system,
+            system_for(name),
             policy,
             store,
             predictor=predictor if policy.uses_predictor else None,

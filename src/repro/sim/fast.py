@@ -1,10 +1,11 @@
 """Lookup tables and scheduler knowledge for the SoA event loop.
 
-:class:`FastSimulation` turns one configuration of
-:class:`~repro.core.simulation.SchedulerSimulation` (system, policy,
-characterisation store, predictor, energy model, tuner costs, queue
-discipline, preemption, power axis) into the flat data the
-struct-of-arrays event loop in :mod:`repro.sim.stream` reads:
+:class:`FastSimulation` turns one run — system, policy,
+characterisation store, predictor, energy model and a validated
+:class:`~repro.core.runconfig.RunConfig` (tuner costs, queue
+discipline, preemption, profiling overhead, preloaded profiles, power
+axis) — into the flat data the struct-of-arrays event loop in
+:mod:`repro.sim.stream` reads:
 
 * **configuration interning** — every cache configuration of the
   system gets an integer id ascending in ``CacheConfig`` order, so
@@ -20,8 +21,8 @@ struct-of-arrays event loop in :mod:`repro.sim.stream` reads:
   best-known minima), mutated by the run.  A table set therefore
   serves exactly one run.
 
-Construction validates the configuration exactly like the reference
-(same defaults, same errors) and applies preloaded profiles.  The
+Construction does no validation of its own: the ``RunConfig`` checked
+itself when it was built.  It applies preloaded profiles.  The
 closed-batch glue in :mod:`repro.core.fastpath` and the streaming
 front end build the loop over these tables; bit-identity with the
 reference loop across the policy × discipline × preemption grid is
@@ -33,13 +34,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cache.config import BASE_CONFIG, CacheConfig
-from repro.cache.tuner import TunerCostModel
 from repro.characterization.store import CharacterizationStore
 from repro.core.policies import SchedulingPolicy
 from repro.core.predictor import BestCorePredictor
+from repro.core.runconfig import RunConfig
 from repro.core.tuning import TuningSession
 from repro.energy.tables import EnergyTable
-from repro.power.budget import TokenPool, normalize_power
+from repro.power.budget import TokenPool
 
 __all__ = ["FastSimulation"]
 
@@ -47,47 +48,22 @@ __all__ = ["FastSimulation"]
 class FastSimulation:
     """Tables and knowledge state of one run of one policy on one system.
 
-    Construction mirrors
-    :class:`~repro.core.simulation.SchedulerSimulation` (same defaults,
-    same validation errors).  The observability / validation / fault
-    hooks are deliberately absent — use the reference engine when any
-    of them is needed.
+    ``run`` is the already validated
+    :class:`~repro.core.runconfig.RunConfig`; the public constructors
+    check the policy's predictor before building one.  The
+    observability / validation / fault hooks are deliberately absent —
+    use the reference engine when any of them is needed.
     """
-
-    DISCIPLINES = ("fifo", "priority", "edf")
 
     def __init__(
         self,
         system,
         policy: SchedulingPolicy,
         store: CharacterizationStore,
-        *,
-        predictor: Optional[BestCorePredictor] = None,
-        energy_table: Optional[EnergyTable] = None,
-        tuner_costs: TunerCostModel = TunerCostModel(),
-        profiling_overhead_fraction: float = 0.003,
-        discipline: str = "fifo",
-        preemptive: bool = False,
-        preemption_quantum_cycles: int = 10_000,
-        preload_profiles: bool = False,
-        power=None,
+        predictor: Optional[BestCorePredictor],
+        energy_table: Optional[EnergyTable],
+        run: RunConfig,
     ) -> None:
-        if policy.uses_predictor and predictor is None:
-            raise ValueError(f"policy {policy.name!r} needs a predictor")
-        if profiling_overhead_fraction < 0:
-            raise ValueError("profiling_overhead_fraction must be >= 0")
-        if discipline not in self.DISCIPLINES:
-            raise ValueError(
-                f"unknown discipline {discipline!r}; "
-                f"choose from {self.DISCIPLINES}"
-            )
-        if preemptive and discipline == "fifo":
-            raise ValueError(
-                "preemption needs an urgency order; use the 'priority' "
-                "or 'edf' discipline"
-            )
-        if preemption_quantum_cycles < 0:
-            raise ValueError("preemption_quantum_cycles must be >= 0")
         self.system = system
         self.policy = policy
         self.store = store
@@ -95,19 +71,13 @@ class FastSimulation:
         self.energy_table = (
             energy_table if energy_table is not None else EnergyTable()
         )
-        self.profiling_overhead_fraction = profiling_overhead_fraction
-        self.discipline = discipline
-        self.preemptive = preemptive
-        self.preemption_quantum_cycles = preemption_quantum_cycles
-        # Power axis (cap + DVFS).  Engine selection only routes a
-        # powered run here when the policy does not override
-        # ``choose_dvfs``, so the preferred operating point is always
-        # the table's nominal one; the gate can still *degrade* to a
-        # lower point.  ``None`` keeps the loop's pre-power code paths
-        # byte-for-byte.
-        self.power = normalize_power(power)
+        self.run = run
+        # Engine selection only routes a powered run here when the
+        # policy does not override ``choose_dvfs``, so the preferred
+        # operating point is always the table's nominal one; the gate
+        # can still *degrade* to a lower point.
         self._power_pool = (
-            TokenPool(self.power) if self.power is not None else None
+            TokenPool(run.power) if run.power is not None else None
         )
 
         # -- configuration interning ------------------------------------
@@ -135,6 +105,7 @@ class FastSimulation:
         ]
         # Reconfiguration cost depends only on the *outgoing* config
         # (its line count is what gets flushed).
+        tuner_costs = run.tuner_costs
         self.recfg_cycles_from = [
             tuner_costs.control_cycles
             + tuner_costs.flush_cycles_per_line * cfg.num_lines
@@ -219,7 +190,7 @@ class FastSimulation:
         self.touch_order: List[int] = []
         self.sessions: Dict[tuple, TuningSession] = {}
 
-        if preload_profiles:
+        if run.preload_profiles:
             self._preload_profiles()
 
     # -- helpers -------------------------------------------------------------

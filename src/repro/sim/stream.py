@@ -66,6 +66,7 @@ from typing import Dict, List, Optional
 
 from repro.cache.config import CacheConfig
 from repro.core.results import JobRecord, SimulationResult
+from repro.core.runconfig import RunConfig
 from repro.core.tuning import TuningSession
 from repro.obs.events import CATEGORIES as _CATEGORIES
 from repro.obs.metrics import Histogram
@@ -324,9 +325,11 @@ def _session_from_dict(state: dict) -> TuningSession:
 class StreamingSimulation:
     """One streaming run of one policy on one system.
 
-    Construction takes :class:`FastSimulation`'s arguments (passed
-    through as ``options``, with the same defaults and validation)
-    plus a :class:`StreamConfig`.  Drive it either with
+    Construction takes ``predictor`` and ``energy_table`` plus the
+    :class:`~repro.core.runconfig.RunConfig` fields as keyword
+    ``options`` (the same keywords, defaults and errors as
+    :class:`~repro.core.simulation.SchedulerSimulation`), and a
+    :class:`StreamConfig`.  Drive it either with
     :meth:`run` (to completion, with optional periodic checkpoints) or
     with :meth:`start` + :meth:`advance` for stepwise control;
     :meth:`result` summarises a finished run.  :meth:`snapshot` /
@@ -345,8 +348,15 @@ class StreamingSimulation:
     ) -> None:
         if config is None:
             raise ValueError("a StreamConfig is required")
+        predictor = options.pop("predictor", None)
+        if policy.uses_predictor and predictor is None:
+            raise ValueError(f"policy {policy.name!r} needs a predictor")
+        energy_table = options.pop("energy_table", None)
+        run = RunConfig(**options)
         self._bind(
-            FastSimulation(system, policy, store, **options),
+            FastSimulation(
+                system, policy, store, predictor, energy_table, run
+            ),
             config,
             telemetry,
         )
@@ -487,8 +497,8 @@ class StreamingSimulation:
         return {
             "engine": self._engine_label,
             "policy": f.policy.name,
-            "discipline": f.discipline,
-            "preemptive": f.preemptive,
+            "discipline": f.run.discipline,
+            "preemptive": f.run.preemptive,
             "admission": self.config.admission,
             "max_jobs": self.config.max_jobs,
             "duration_cycles": self.config.duration_cycles,
@@ -625,22 +635,24 @@ class StreamingSimulation:
         bids_get = f.bids.get
         store = f.store
         predictor = f.predictor
-        pof = f.profiling_overhead_fraction
+        # No local for ``f.run`` itself: a new local would shift the
+        # loop's locals past index 255 into EXTENDED_ARG loads.
+        pof = f.run.profiling_overhead_fraction
         policy = f.policy
         requires_profiling = policy.requires_profiling
         uses_predictor = policy.uses_predictor
         pol = {"base": 0, "optimal": 1, "energy_centric": 2}.get(
             policy.name, 3
         )
-        preemptive = f.preemptive
-        quantum = f.preemption_quantum_cycles
+        preemptive = f.run.preemptive
+        quantum = f.run.preemption_quantum_cycles
         touched = f.touched
         touch_order = f.touch_order
         nearest_size = f._nearest_size
         C = f.n_cores
         core_range = range(C)
         sessions = f.sessions
-        disc = self.DISC_IDS[f.discipline]
+        disc = self.DISC_IDS[f.run.discipline]
         fifo = disc == 0
 
         # Power axis locals.  ``pool is None`` is the only extra branch
@@ -652,11 +664,11 @@ class StreamingSimulation:
             n_points = 1
             slack_pct = 0.0
         else:
-            table = f.power.dvfs
+            table = f.run.power.dvfs
             dvfs_points = None if table is None else tuple(table)
             nominal_point = None if table is None else table.default
             n_points = 1 if dvfs_points is None else len(dvfs_points)
-            slack_pct = f.power.slack_pct
+            slack_pct = f.run.power.slack_pct
 
         # -- run-state locals (scalars written back on exit) ------------
         jbid = s["jbid"]
@@ -1797,7 +1809,7 @@ class StreamingSimulation:
         config = self.config
         return StreamResult(
             policy=f.policy.name,
-            discipline=f.discipline,
+            discipline=f.run.discipline,
             admission=config.admission,
             queue_capacity=config.queue_capacity,
             warmup_cycles=config.warmup_cycles,
@@ -1883,19 +1895,19 @@ class StreamingSimulation:
     # -- checkpoint / resume -------------------------------------------------
 
     def _fingerprint(self) -> dict:
-        """Compatibility key a snapshot embeds and restore() verifies."""
+        """Compatibility key a snapshot embeds and restore() verifies.
+
+        Every :class:`~repro.core.runconfig.RunConfig` field is a key of
+        its own, so a mismatch names the field that differs.
+        """
         f = self.f
         return {
             "policy": f.policy.name,
-            "discipline": f.discipline,
-            "preemptive": f.preemptive,
-            "preemption_quantum_cycles": f.preemption_quantum_cycles,
-            "profiling_overhead_fraction": f.profiling_overhead_fraction,
+            **f.run.to_dict(),
             "core_sizes": list(f.core_sizes),
             "benchmarks": list(f.bench_names),
             "config": asdict(self.config),
             "process": self.process.params(),
-            "power": None if f.power is None else f.power.to_dict(),
         }
 
     def snapshot(self) -> dict:

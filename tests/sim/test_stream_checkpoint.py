@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.tuner import TunerCostModel
 from repro.core.policies import make_policy
 from repro.core.system import base_system, paper_system
 from repro.sim.stream import (
@@ -25,6 +26,7 @@ from repro.sim.stream import (
     StreamingSimulation,
     read_checkpoint,
 )
+from repro.power.budget import PowerConfig
 from repro.workloads.arrivals import PoissonProcess, QoSProcess
 from repro.workloads.eembc import eembc_benchmark
 
@@ -285,3 +287,50 @@ class TestLoudFailures:
         snapshot = engine.snapshot()
         with pytest.raises(RuntimeError, match="freshly constructed"):
             engine.restore(snapshot, _process(specs))
+
+
+#: One changed value per run setting, each differing from the donor's
+#: ``discipline="priority"`` defaults in that setting alone.
+RUN_VARIANTS = {
+    "discipline": "edf",
+    "preemptive": True,
+    "preemption_quantum_cycles": 2_500,
+    "profiling_overhead_fraction": 0.01,
+    "preload_profiles": True,
+    "tuner_costs": TunerCostModel(control_cycles=5000,
+                                  control_energy_nj=500.0),
+    "power": PowerConfig(cap_nj=2e6),
+}
+
+
+class TestRunSettingsFingerprint:
+    def test_variants_cover_every_run_config_field(self):
+        import dataclasses
+
+        from repro.core.runconfig import RunConfig
+
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        assert sorted(RUN_VARIANTS) == sorted(fields)
+
+    @pytest.mark.parametrize("field", sorted(RUN_VARIANTS))
+    def test_resume_into_other_setting_names_it(
+        self, field, store, oracle, energy_table, specs
+    ):
+        def engine(**settings):
+            return StreamingSimulation(
+                paper_system(),
+                make_policy("proposed"),
+                store,
+                predictor=oracle,
+                energy_table=energy_table,
+                config=StreamConfig(max_jobs=N_JOBS),
+                **{"discipline": "priority", **settings},
+            )
+
+        donor = engine()
+        donor.start(_process(specs))
+        donor.advance(max_completions=10)
+        snapshot = json.loads(json.dumps(donor.snapshot()))
+        other = engine(**{field: RUN_VARIANTS[field]})
+        with pytest.raises(ValueError, match=rf"differs in: {field}\)"):
+            other.restore(snapshot, _process(specs))

@@ -76,6 +76,46 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--policies", "turbo"])
 
+    def test_choices_come_from_the_source_constants(self):
+        import argparse
+
+        from repro.core.policies import (
+            ALL_POLICY_NAMES,
+            POLICY_NAMES,
+        )
+        from repro.core.runconfig import RunConfig
+        from repro.core.simulation import SchedulerSimulation
+        from repro.sim.stream import ADMISSION_POLICIES
+        from repro.workloads.arrivals import PROCESS_KINDS
+
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+
+        def choices(command, dest):
+            action = next(
+                action for action in commands[command]._actions
+                if action.dest == dest
+            )
+            return tuple(action.choices)
+
+        expected = {
+            ("compare", "discipline"): RunConfig.DISCIPLINES,
+            ("compare", "engine"): SchedulerSimulation.ENGINES,
+            ("campaign", "policies"): ALL_POLICY_NAMES,
+            ("campaign", "discipline"): RunConfig.DISCIPLINES,
+            ("campaign", "engine"): SchedulerSimulation.ENGINES,
+            ("campaign", "stream"): PROCESS_KINDS,
+            ("campaign", "admission"): ADMISSION_POLICIES,
+            ("stream", "policy"): POLICY_NAMES,
+            ("stream", "discipline"): RunConfig.DISCIPLINES,
+            ("stream", "process"): PROCESS_KINDS,
+            ("stream", "admission"): ADMISSION_POLICIES,
+        }
+        for (command, dest), constant in expected.items():
+            assert choices(command, dest) == tuple(constant), (command, dest)
+
     def test_global_verbosity_flags(self):
         args = build_parser().parse_args(["suite"])
         assert args.verbose == 0
@@ -508,6 +548,20 @@ class TestStreamCommand:
         assert json_module.loads(first_json.read_text()) == (
             json_module.loads(resumed_json.read_text())
         )
+
+    def test_resume_into_other_settings_is_refused(self, capsys, tmp_path):
+        ckpt = tmp_path / "stream.ckpt"
+        base_args = [
+            "stream", "--max-jobs", "300", "--seed", "2",
+            "--checkpoint", str(ckpt), "--checkpoint-every", "100",
+        ]
+        assert main(base_args) == 0
+        capsys.readouterr()
+        code = main(base_args + ["--resume", "--discipline", "priority"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "discipline" in err
 
     def test_campaign_stream_small(self, capsys):
         code = main([
