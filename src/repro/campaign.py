@@ -60,6 +60,7 @@ __all__ = [
     "ReplicationResult",
     "ReplicationSpec",
     "StreamLoad",
+    "check_grid",
     "power_grid",
     "run_campaign",
 ]
@@ -592,6 +593,43 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context()
 
 
+def check_grid(
+    policies: Sequence[str],
+    seeds: Sequence[int],
+    loads: Sequence[Tuple[int, int]],
+) -> None:
+    """Reject an empty, unknown, invalid or repeated grid value.
+
+    A repeated seed, policy or load would aggregate copies of one run
+    as independent replications, narrowing the confidence interval.
+    """
+    if not policies:
+        raise ValueError("need at least one policy")
+    for name in policies:
+        if name not in ALL_POLICY_NAMES:
+            raise ValueError(
+                f"unknown policy {name!r}; choose from {ALL_POLICY_NAMES}"
+            )
+    if not seeds:
+        raise ValueError("need at least one replication seed")
+    if not loads:
+        raise ValueError("need at least one load")
+    for count, gap in loads:
+        if count <= 0:
+            raise ValueError("load count must be positive")
+        if gap <= 0:
+            raise ValueError("mean_interarrival_cycles must be positive")
+    for axis, values in (
+        ("policy", policies), ("seed", seeds), ("load", loads)
+    ):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(
+                    f"{axis} {value!r} is repeated; a grid value may "
+                    "appear once"
+                )
+
+
 def run_campaign(
     store: CharacterizationStore,
     predictor: Optional[BestCorePredictor] = None,
@@ -714,22 +752,7 @@ def run_campaign(
         ``pool.imap`` so results stream back as they finish; the
         replications and aggregates are identical either way.
     """
-    if not policies:
-        raise ValueError("need at least one policy")
-    for name in policies:
-        if name not in ALL_POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {name!r}; choose from {ALL_POLICY_NAMES}"
-            )
-    if not seeds:
-        raise ValueError("need at least one replication seed")
-    if not loads:
-        raise ValueError("need at least one load")
-    for count, gap in loads:
-        if count <= 0:
-            raise ValueError("load count must be positive")
-        if gap <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
+    check_grid(policies, seeds, loads)
     if not fault_plans:
         raise ValueError("need at least one fault-plan entry (None = clean)")
     plan_names = [p.name for p in fault_plans if p is not None]

@@ -873,6 +873,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    from repro.campaign import check_grid
     from repro.experiment import (
         default_predictor,
         default_store,
@@ -938,13 +939,18 @@ def _cmd_campaign(args) -> int:
             file=sys.stderr,
         )
         return 2
+    loads = [
+        (count, gap) for count in args.jobs for gap in args.interarrival
+    ]
+    try:
+        check_grid(args.policies, args.seeds, loads)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     store = default_store()
     predictor = None
     if args.predictor == "ann":
         predictor = default_predictor(store, kind="ann")
-    loads = [
-        (count, gap) for count in args.jobs for gap in args.interarrival
-    ]
     progress = None
     if args.progress:
         def progress(done: int, total: int) -> None:

@@ -19,6 +19,7 @@ Total system energy = idle + busy static + dynamic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
@@ -33,6 +34,7 @@ from repro.core.runconfig import RunConfig
 from repro.core.scheduler import Assignment, CoreState, Job
 from repro.core.system import SystemConfig
 from repro.core.tuning import TuningHeuristic
+from repro.energy.scaling import scaled_charges
 from repro.energy.tables import EnergyTable
 from repro.obs.events import (
     ConfigInstalled,
@@ -53,7 +55,14 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
-from repro.power.budget import TokenPool
+from repro.power.budget import (
+    DEGRADED,
+    OUTCOME_COUNTERS,
+    OVERDRAFT,
+    WAIT,
+    TokenPool,
+    settle_unaffordable,
+)
 from repro.sim.engine import EventEngine
 from repro.sim.events import Event, EventKind
 from repro.sim.queueing import ReadyQueue
@@ -97,13 +106,12 @@ _METRIC_HISTOGRAMS = (
 
 #: Counters pre-registered only when the power axis is enabled, so
 #: power-off metric snapshots stay byte-identical to pre-power runs.
-_POWER_COUNTERS = (
-    "sim.power.grants",
-    "sim.power.refunds",
-    "sim.power.throttled",
-    "sim.power.degraded",
-    "sim.power.overdrafts",
-)
+_POWER_COUNTERS = tuple(f"sim.power.{name}" for name in TokenPool.COUNTERS)
+
+#: The counter of each power-gate outcome (the trace event's reason).
+_GATE_COUNTERS = {
+    outcome: f"sim.power.{name}" for outcome, name in OUTCOME_COUNTERS.items()
+}
 
 
 #: Engine selection modes (``SchedulerSimulation.ENGINES``).
@@ -393,7 +401,7 @@ class SchedulerSimulation:
             power=power,
         )
         #: Whether a per-event hook needs the reference loop.  The SoA
-        #: loop implements the power gate itself, but a policy that
+        #: loop runs the shared power gate too, but a policy that
         #: *chooses* operating points needs the reference loop's
         #: per-dispatch hook.
         self._hooked = (
@@ -1122,38 +1130,28 @@ class SchedulerSimulation:
         Returns the (possibly degraded) assignment to start, or ``None``
         when the job must wait for tokens.  The preferred option is the
         policy's choice at the policy's operating point (nominal when
-        the policy abstains); when it is unaffordable, strictly cheaper
-        (config × DVFS) options *on the same core* are tried most
-        expensive first — the minimal degradation — subject to the
-        slack-percentage deadline test.  Profiling and tuning runs pin
-        their configuration, so only the DVFS axis may degrade them.
-        When nothing is affordable but no tokens are held anywhere, the
-        preferred option is granted as an *overdraft* — the progress
-        guarantee that a drained system always dispatches.
+        the policy abstains); when it is unaffordable,
+        :func:`~repro.power.budget.settle_unaffordable` tries strictly
+        cheaper (config × DVFS) options *on the same core*, or grants
+        the preferred option as an overdraft, or defers the job.
+        Profiling and tuning runs pin their configuration, so only the
+        DVFS axis may degrade them.
         """
-        from repro.energy.scaling import scaled_charges
-        from repro.power.budget import pick_degraded
-
-        power = self.power
         pool = self._power_pool
         core = self.cores[assignment.core_index]
-        table = power.dvfs
+        table = self.power.dvfs
         point = None
         if table is not None:
             name = assignment.dvfs
             if name is None:
                 name = self.policy.choose_dvfs(job, core, table)
             point = table.default if name is None else table.get(name)
-        preferred = Assignment(
-            core_index=assignment.core_index,
-            config=assignment.config,
-            profiling=assignment.profiling,
-            tuning=assignment.tuning,
-            dvfs=None if point is None else point.name,
+        preferred = replace(
+            assignment, dvfs=None if point is None else point.name
         )
         fraction = job.remaining_fraction
         estimate = self._estimate(job.benchmark, assignment.config)
-        work, dynamic, static = scaled_charges(
+        _, dynamic, static = scaled_charges(
             estimate.total_cycles,
             estimate.energy.dynamic_nj,
             estimate.energy.static_nj,
@@ -1165,98 +1163,46 @@ class SchedulerSimulation:
         if pool.affordable(price, size_kb):
             return preferred
 
-        # Degradation ladder: (config × operating point) on this core,
-        # enumerated configs-ascending × table order so the fast engine
-        # ranks candidates identically.
-        points = (point,) if table is None else tuple(table)
-        if assignment.profiling or assignment.tuning:
-            configs = (assignment.config,)
-        else:
-            configs = core.spec.configs
-        candidates = []
-        rank = 0
-        for config in configs:
+        def charges(config):
             try:
-                cand = self._estimate(job.benchmark, config)
+                row = self._estimate(job.benchmark, config)
             except KeyError:
-                rank += len(points)
-                continue
-            for option in points:
-                cand_work, cand_dyn, cand_sta = scaled_charges(
-                    cand.total_cycles,
-                    cand.energy.dynamic_nj,
-                    cand.energy.static_nj,
-                    fraction,
-                    option,
-                )
-                candidates.append(
-                    (cand_dyn + cand_sta, cand_work, rank, (config, option))
-                )
-                rank += 1
-        chosen = pick_degraded(
-            pool,
-            size_kb,
-            price,
-            candidates,
-            now=self.now,
-            arrival_cycle=job.arrival_cycle,
+                return None
+            energy = row.energy
+            return row.total_cycles, energy.dynamic_nj, energy.static_nj
+
+        pinned = assignment.profiling or assignment.tuning
+        outcome = settle_unaffordable(
+            pool, size_kb, price,
+            (assignment.config,) if pinned else core.spec.configs,
+            charges, (point,) if table is None else table.points, fraction,
+            now=self.now, arrival_cycle=job.arrival_cycle,
             deadline_cycle=job.deadline_cycle,
-            slack_pct=power.slack_pct,
+            slack_pct=self.power.slack_pct,
         )
-        if chosen is not None:
-            config, option = chosen
-            pool.degraded += 1
-            if self.metrics is not None:
-                self.metrics.counter("sim.power.degraded").inc()
-            if self.recorder.enabled:
-                self.recorder.emit(
-                    PowerThrottled(
-                        cycle=self.now,
-                        job_id=job.job_id,
-                        benchmark=job.benchmark,
-                        reason="degraded",
-                        price_nj=price,
-                    )
-                )
-            return Assignment(
-                core_index=assignment.core_index,
-                config=config,
-                profiling=assignment.profiling,
-                tuning=assignment.tuning,
-                dvfs=None if option is None else option.name,
-            )
-        if pool.idle():
-            # Progress guarantee: with no tokens held anywhere, the
-            # preferred dispatch always proceeds (counted as an
-            # overdraft when it exceeds the configured caps).
-            pool.overdrafts += 1
-            if self.metrics is not None:
-                self.metrics.counter("sim.power.overdrafts").inc()
-            if self.recorder.enabled:
-                self.recorder.emit(
-                    PowerThrottled(
-                        cycle=self.now,
-                        job_id=job.job_id,
-                        benchmark=job.benchmark,
-                        reason="overdraft",
-                        price_nj=price,
-                    )
-                )
-            return preferred
-        pool.throttled += 1
+        reason = outcome if outcome in (OVERDRAFT, WAIT) else DEGRADED
         if self.metrics is not None:
-            self.metrics.counter("sim.power.throttled").inc()
+            self.metrics.counter(_GATE_COUNTERS[reason]).inc()
         if self.recorder.enabled:
             self.recorder.emit(
                 PowerThrottled(
                     cycle=self.now,
                     job_id=job.job_id,
                     benchmark=job.benchmark,
-                    reason="wait",
+                    reason=reason,
                     price_nj=price,
                 )
             )
-        return None
+        if outcome == WAIT:
+            return None
+        if outcome == OVERDRAFT:
+            return preferred
+        config, point = outcome
+        return replace(
+            assignment,
+            config=config,
+            dvfs=None if point is None else point.name,
+        )
 
     def _start(self, job: Job, assignment: Assignment) -> None:
         core = self.cores[assignment.core_index]
@@ -1297,20 +1243,19 @@ class SchedulerSimulation:
         if assignment.tuning and fraction == 1.0:
             self._tuning_executions += 1
 
+        table = None if self.power is None else self.power.dvfs
+        point = None
+        if table is not None and assignment.dvfs is not None:
+            point = table.get(assignment.dvfs)
+        work_cycles, dynamic_charge, static_charge = scaled_charges(
+            estimate.total_cycles,
+            estimate.energy.dynamic_nj,
+            estimate.energy.static_nj,
+            fraction,
+            point,
+        )
         token_grant = None
         if self._power_pool is not None:
-            from repro.energy.scaling import scaled_charges
-
-            point = None
-            if self.power.dvfs is not None and assignment.dvfs is not None:
-                point = self.power.dvfs.get(assignment.dvfs)
-            work_cycles, dynamic_charge, static_charge = scaled_charges(
-                estimate.total_cycles,
-                estimate.energy.dynamic_nj,
-                estimate.energy.static_nj,
-                fraction,
-                point,
-            )
             token_grant = dynamic_charge + static_charge
             self._power_pool.grant(
                 job.job_id, token_grant, core.spec.cache_size_kb
@@ -1318,10 +1263,6 @@ class SchedulerSimulation:
             core.dvfs = assignment.dvfs
             if self.metrics is not None:
                 self.metrics.counter("sim.power.grants").inc()
-        else:
-            dynamic_charge = estimate.energy.dynamic_nj * fraction
-            static_charge = estimate.energy.static_nj * fraction
-            work_cycles = max(1, int(round(estimate.total_cycles * fraction)))
         self._dynamic_nj += dynamic_charge
         self._busy_static_nj += static_charge
         job.charged_energy_nj += dynamic_charge + static_charge

@@ -1,12 +1,11 @@
 """DVFS scaling of per-dispatch charges, shared by every engine.
 
-The reference loop and the fast/streaming loops compute a dispatch's
-work cycles and dynamic/static charges with syntactically different but
-IEEE-identical expressions (``x * 1.0 == x``; ``round(t * 1.0) == t``).
-When the power axis is enabled both route through this one helper so the
-power-token price, the charged energy and the DVFS stretch are
-float-identical across engines — the property the equivalence suites and
-the ledger's token account rely on.
+Every dispatch's work cycles and dynamic/static charges come from this
+one helper: in the reference loop, in the struct-of-arrays loop, and
+for each candidate of :func:`repro.power.budget.settle_unaffordable`.
+So the power-token price, the charged energy and the DVFS stretch are
+float-identical across engines, as the equivalence suites and the
+ledger's token account need.
 
 Scaling model (see :mod:`repro.power.dvfs`): only the *work* component
 of service stretches by ``1/freq_scale`` — reconfiguration and profiling
@@ -36,16 +35,21 @@ def scaled_charges(
     """``(work_cycles, dynamic_charge_nj, static_charge_nj)`` for one
     dispatch of ``fraction`` of an execution at operating point
     ``point`` (``None`` or nominal leaves the charges untouched)."""
+    # Lean on purpose: the degradation ladder prices every candidate
+    # here.  round() of a float is already an int.
     if fraction == 1.0:
         work = total_cycles
         dynamic = dynamic_nj
         static = static_nj
     else:
-        work = max(1, int(round(total_cycles * fraction)))
+        work = round(total_cycles * fraction)
+        if work < 1:
+            work = 1
         dynamic = dynamic_nj * fraction
         static = static_nj * fraction
-    if point is not None and not point.is_nominal:
-        work = max(1, int(round(work / point.freq_scale)))
-        dynamic = dynamic * point.dyn_factor
-        static = static * point.static_factor
-    return work, dynamic, static
+    if point is None or point.is_nominal:
+        return work, dynamic, static
+    work = round(work / point.freq_scale)
+    if work < 1:
+        work = 1
+    return work, dynamic * point.dyn_factor, static * point.static_factor

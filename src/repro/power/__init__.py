@@ -9,6 +9,7 @@ from .budget import (
     TokenPool,
     normalize_power,
     pick_degraded,
+    settle_unaffordable,
     slack_admissible,
 )
 from .dvfs import DEFAULT_DVFS_TABLE, NOMINAL_NAME, DvfsPoint, DvfsTable
@@ -18,6 +19,7 @@ __all__ = [
     "TokenPool",
     "normalize_power",
     "pick_degraded",
+    "settle_unaffordable",
     "slack_admissible",
     "DvfsPoint",
     "DvfsTable",

@@ -27,19 +27,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union,
+)
 
-from .dvfs import DvfsTable
+from repro.energy.scaling import scaled_charges
+
+from .dvfs import DvfsPoint, DvfsTable
 
 __all__ = [
+    "DEGRADED",
+    "OVERDRAFT",
+    "WAIT",
+    "OUTCOME_COUNTERS",
     "PowerConfig",
     "TokenPool",
     "normalize_power",
     "slack_admissible",
     "pick_degraded",
+    "settle_unaffordable",
 ]
 
 _INF = float("inf")
+
+#: Outcomes of :func:`settle_unaffordable`; they double as the
+#: ``reason`` of the reference loop's trace event.  A degraded outcome
+#: is returned as the chosen ``(key, point)``, the others as these
+#: strings.
+DEGRADED = "degraded"
+OVERDRAFT = "overdraft"
+WAIT = "wait"
+
+#: The :class:`TokenPool` counter each outcome increments.
+OUTCOME_COUNTERS = {
+    DEGRADED: "degraded",
+    OVERDRAFT: "overdrafts",
+    WAIT: "throttled",
+}
 
 
 @dataclass(frozen=True)
@@ -191,8 +215,64 @@ def pick_degraded(
     return None if best is None else best[1]
 
 
+def settle_unaffordable(
+    pool: "TokenPool", size_kb: int, preferred_price_nj: float,
+    keys: Iterable[object], charges: Callable[[object], Optional[Sequence]],
+    points: Sequence[Optional[DvfsPoint]], fraction: float, *,
+    now: int, arrival_cycle: int, deadline_cycle: Optional[int],
+    slack_pct: float,
+) -> Union[Tuple[object, Optional[DvfsPoint]], str]:
+    """Degrade, overdraft or defer a dispatch the pool cannot afford.
+
+    The power gate past the preferred option, for every engine.  The
+    ladder is each (config × operating point) pair on the core: ``keys``
+    in ascending config order × ``points`` in table order (``(None,)``
+    without a DVFS table).  ``charges(key)`` is the config's
+    ``(total_cycles, dynamic_nj, static_nj, ...)`` row, or ``None`` if
+    it was never characterised (it still uses up ``len(points)`` ranks,
+    so engines break ties alike).  Candidates are priced for the
+    remaining ``fraction`` by :func:`~repro.energy.scaling.scaled_charges`
+    and :func:`pick_degraded` chooses.  The outcome is counted on
+    ``pool`` and returned: the degraded ``(key, point)``;
+    :data:`OVERDRAFT` when nothing is affordable but no tokens are held
+    anywhere (the progress guarantee: the preferred option proceeds);
+    else :data:`WAIT`.
+    """
+    candidates = []
+    append = candidates.append
+    rank = 0
+    for key in keys:
+        row = charges(key)
+        if row is None:
+            rank += len(points)
+            continue
+        cycles, dynamic_nj, static_nj = row[0], row[1], row[2]
+        for point in points:
+            work, dynamic, static = scaled_charges(
+                cycles, dynamic_nj, static_nj, fraction, point
+            )
+            append((dynamic + static, work, rank, (key, point)))
+            rank += 1
+    chosen = pick_degraded(
+        pool, size_kb, preferred_price_nj, candidates, now=now,
+        arrival_cycle=arrival_cycle, deadline_cycle=deadline_cycle,
+        slack_pct=slack_pct,
+    )
+    if chosen is not None:
+        pool.degraded += 1
+        return chosen
+    if pool.idle():
+        pool.overdrafts += 1
+        return OVERDRAFT
+    pool.throttled += 1
+    return WAIT
+
+
 class TokenPool:
     """Runtime token account for one simulation run."""
+
+    #: The event counters, in report and checkpoint order.
+    COUNTERS = ("grants", "refunds", "throttled", "degraded", "overdrafts")
 
     def __init__(self, config: PowerConfig) -> None:
         self.config = config
@@ -232,12 +312,11 @@ class TokenPool:
             "granted_nj": self.granted_nj,
             "refunded_nj": self.refunded_nj,
             "consumed_nj": self.consumed_nj,
-            "grants": self.grants,
-            "refunds": self.refunds,
-            "throttled": self.throttled,
-            "degraded": self.degraded,
-            "overdrafts": self.overdrafts,
+            **self._counts(),
         }
+
+    def _counts(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def idle(self) -> bool:
         """No grants held anywhere — the progress-guarantee condition."""
@@ -283,11 +362,7 @@ class TokenPool:
             ],
             "granted_nj": self.granted_nj,
             "refunded_nj": self.refunded_nj,
-            "grants": self.grants,
-            "refunds": self.refunds,
-            "throttled": self.throttled,
-            "degraded": self.degraded,
-            "overdrafts": self.overdrafts,
+            **self._counts(),
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
@@ -297,8 +372,5 @@ class TokenPool:
         }
         self.granted_nj = float(state["granted_nj"])
         self.refunded_nj = float(state["refunded_nj"])
-        self.grants = int(state["grants"])
-        self.refunds = int(state["refunds"])
-        self.throttled = int(state["throttled"])
-        self.degraded = int(state["degraded"])
-        self.overdrafts = int(state["overdrafts"])
+        for name in self.COUNTERS:
+            setattr(self, name, int(state[name]))

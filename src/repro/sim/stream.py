@@ -56,6 +56,7 @@ jobs is bit-identical to the reference loop run on
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -68,9 +69,10 @@ from repro.cache.config import CacheConfig
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.runconfig import RunConfig
 from repro.core.tuning import TuningSession
+from repro.energy.scaling import scaled_charges
 from repro.obs.events import CATEGORIES as _CATEGORIES
 from repro.obs.metrics import Histogram
-from repro.power.budget import pick_degraded
+from repro.power.budget import OVERDRAFT, WAIT, settle_unaffordable
 from repro.sim.fast import FastSimulation
 from repro.workloads.arrivals import ArrivalProcess, JobArrival
 
@@ -397,6 +399,8 @@ class StreamingSimulation:
         self._observe = not closed_batch or telemetry is not None
         self._wait_hist = Histogram("stream.waiting_cycles")
         self._turn_hist = Histogram("stream.turnaround_cycles")
+        # Fingerprint keys of the predictor, energy table and store.
+        self._inputs: Optional[dict] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -658,16 +662,14 @@ class StreamingSimulation:
         # Power axis locals.  ``pool is None`` is the only extra branch
         # the power-off loop pays.
         pool = f._power_pool
-        if pool is None:
-            dvfs_points: Optional[tuple] = None
-            nominal_point = None
-            n_points = 1
-            slack_pct = 0.0
-        else:
+        dvfs_points = (None,)
+        nominal_point = None
+        slack_pct = 0.0
+        if pool is not None:
             table = f.run.power.dvfs
-            dvfs_points = None if table is None else tuple(table)
-            nominal_point = None if table is None else table.default
-            n_points = 1 if dvfs_points is None else len(dvfs_points)
+            if table is not None:
+                dvfs_points = table.points
+                nominal_point = table.default
             slack_pct = f.run.power.slack_pct
 
         # -- run-state locals (scalars written back on exit) ------------
@@ -1331,12 +1333,10 @@ class StreamingSimulation:
                                         )
 
                         # ---- power gate ----------------------------
-                        # Mirrors SchedulerSimulation._power_gate with
-                        # the point pinned to nominal (engine selection
-                        # keeps policies that override choose_dvfs on
-                        # the reference engine).  All arithmetic repeats
-                        # repro.energy.scaling.scaled_charges operation
-                        # for operation.
+                        # SchedulerSimulation._power_gate with the point
+                        # pinned to nominal (engine selection keeps
+                        # policies that override choose_dvfs on the
+                        # reference engine).
                         dvfs_point = None
                         if pool is not None:
                             ci, cid, prof, tun = assignment
@@ -1345,89 +1345,33 @@ class StreamingSimulation:
                                 store.estimate(
                                     bench_names[b], cfg_objs[cid]
                                 )
-                            tot_cycles, dyn, sta, _ = entry
                             fraction = remaining[jid]
-                            if fraction == 1.0:
-                                g_dyn = dyn
-                                g_sta = sta
-                            else:
-                                g_dyn = dyn * fraction
-                                g_sta = sta * fraction
+                            _, dyn, sta = scaled_charges(
+                                entry[0], entry[1], entry[2], fraction
+                            )
                             dvfs_point = nominal_point
-                            price = g_dyn + g_sta
+                            price = dyn + sta
                             csize = core_sizes[ci]
                             if not pool.affordable(price, csize):
-                                eb = est[b]
-                                cfg_ladder = (
+                                # A bound method, not a lambda: a
+                                # closure would turn its captured
+                                # locals into cells for the whole loop.
+                                chosen = settle_unaffordable(
+                                    pool, csize, price,
                                     (cid,) if prof or tun
-                                    else core_cfg_ids[ci]
-                                )
-                                options = (
-                                    (None,) if dvfs_points is None
-                                    else dvfs_points
-                                )
-                                candidates = []
-                                rank = 0
-                                for ccid in cfg_ladder:
-                                    centry = eb[ccid]
-                                    if centry is None:
-                                        rank += n_points
-                                        continue
-                                    ctot, cdyn, csta, _ = centry
-                                    if fraction == 1.0:
-                                        cwork0 = ctot
-                                        cd0 = cdyn
-                                        cs0 = csta
-                                    else:
-                                        cwork0 = int(
-                                            round(ctot * fraction)
-                                        )
-                                        if cwork0 < 1:
-                                            cwork0 = 1
-                                        cd0 = cdyn * fraction
-                                        cs0 = csta * fraction
-                                    for option in options:
-                                        if (
-                                            option is None
-                                            or option.is_nominal
-                                        ):
-                                            cwork = cwork0
-                                            cd = cd0
-                                            cs = cs0
-                                        else:
-                                            cwork = int(round(
-                                                cwork0
-                                                / option.freq_scale
-                                            ))
-                                            if cwork < 1:
-                                                cwork = 1
-                                            cd = cd0 * option.dyn_factor
-                                            cs = (
-                                                cs0
-                                                * option.static_factor
-                                            )
-                                        candidates.append((
-                                            cd + cs, cwork, rank,
-                                            (ccid, option),
-                                        ))
-                                        rank += 1
-                                chosen = pick_degraded(
-                                    pool, csize, price, candidates,
+                                    else core_cfg_ids[ci],
+                                    est[b].__getitem__, dvfs_points,
+                                    fraction,
                                     now=now,
                                     arrival_cycle=jarr[jid],
                                     deadline_cycle=jdl[jid],
                                     slack_pct=slack_pct,
                                 )
-                                if chosen is not None:
-                                    dcid, option = chosen
-                                    pool.degraded += 1
-                                    dvfs_point = option
-                                    assignment = (ci, dcid, prof, tun)
-                                elif pool.idle():
-                                    pool.overdrafts += 1
-                                else:
-                                    pool.throttled += 1
+                                if chosen == WAIT:
                                     continue
+                                if chosen != OVERDRAFT:
+                                    cid, dvfs_point = chosen
+                                    assignment = (ci, cid, prof, tun)
 
                         # ---- job start -----------------------------
                         del queue[jid]
@@ -1499,37 +1443,12 @@ class StreamingSimulation:
                         if tun and fraction == 1.0:
                             tuning_executions += 1
 
-                        if fraction == 1.0:
-                            # IEEE multiplication by 1.0 is exact, so
-                            # the common full-run case can skip the
-                            # scaling bit-identically.
-                            dynamic_charge = dyn
-                            static_charge = sta
-                            work = tot_cycles
-                        else:
-                            dynamic_charge = dyn * fraction
-                            static_charge = sta * fraction
-                            work = int(round(tot_cycles * fraction))
-                            if work < 1:
-                                work = 1
+                        work, dynamic_charge, static_charge = (
+                            scaled_charges(
+                                tot_cycles, dyn, sta, fraction, dvfs_point
+                            )
+                        )
                         if pool is not None:
-                            if (
-                                dvfs_point is not None
-                                and not dvfs_point.is_nominal
-                            ):
-                                work = int(round(
-                                    work / dvfs_point.freq_scale
-                                ))
-                                if work < 1:
-                                    work = 1
-                                dynamic_charge = (
-                                    dynamic_charge
-                                    * dvfs_point.dyn_factor
-                                )
-                                static_charge = (
-                                    static_charge
-                                    * dvfs_point.static_factor
-                                )
                             pool.grant(
                                 jlab[jid],
                                 dynamic_charge + static_charge,
@@ -1898,7 +1817,8 @@ class StreamingSimulation:
         """Compatibility key a snapshot embeds and restore() verifies.
 
         Every :class:`~repro.core.runconfig.RunConfig` field is a key of
-        its own, so a mismatch names the field that differs.
+        its own, so a mismatch names the field that differs; so are the
+        parts of the predictor, energy table and store the loop reads.
         """
         f = self.f
         return {
@@ -1906,9 +1826,32 @@ class StreamingSimulation:
             **f.run.to_dict(),
             "core_sizes": list(f.core_sizes),
             "benchmarks": list(f.bench_names),
+            **self._input_fingerprint(),
             "config": asdict(self.config),
             "process": self.process.params(),
         }
+
+    def _input_fingerprint(self) -> dict:
+        """Keys for what the loop reads of its object inputs, built once:
+        the predictor's per-benchmark predictions (when the policy uses
+        one), the energy table's per-config static power, and a SHA-256
+        of the store's estimate rows."""
+        if self._inputs is None:
+            f = self.f
+            predictions = None
+            if f.policy.uses_predictor:
+                counters = f.store.counters
+                predictions = [
+                    int(f.predictor.predict_size_kb(name, counters(name)))
+                    for name in f.bench_names
+                ]
+            rows = json.dumps(f._est, separators=(",", ":")).encode()
+            self._inputs = {
+                "predictions_kb": predictions,
+                "cfg_static_nj": list(f.cfg_static_nj),
+                "estimates_sha256": hashlib.sha256(rows).hexdigest(),
+            }
+        return self._inputs
 
     def snapshot(self) -> dict:
         """Versioned, JSON-serialisable image of the entire run state.

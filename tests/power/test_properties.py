@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import make_policy
+from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.system import paper_system
 from repro.power.budget import PowerConfig, TokenPool
 from repro.power.dvfs import DEFAULT_DVFS_TABLE
@@ -42,6 +42,42 @@ from .conftest import SUITE_NAMES, make_simulation, qos_arrivals
 #: dispatches can *help* EDF by rebalancing load, is pinned separately
 #: by the bit-identity suite's uncapped baseline).
 PINNED_CAPS = (1_000_000.0, 500_000.0, 250_000.0, 125_000.0)
+
+
+#: Power configurations of the engine-equivalence grid: every gate path
+#: (degrade along the config and DVFS axes, overdraft, wait), cluster
+#: caps, the slack test, and DVFS with no cap at all.
+POWERED_CONFIGS = {
+    "cap3e5-4kb1.5e5-slack25-dvfs": PowerConfig(
+        cap_nj=300_000.0,
+        cluster_caps_nj=((4, 150_000.0),),
+        slack_pct=25.0,
+        dvfs=DEFAULT_DVFS_TABLE,
+    ),
+    "cap2.5e5-dvfs": PowerConfig(cap_nj=250_000.0, dvfs=DEFAULT_DVFS_TABLE),
+    "dvfs": PowerConfig(dvfs=DEFAULT_DVFS_TABLE),
+    "cap1.25e5-slack50": PowerConfig(cap_nj=125_000.0, slack_pct=50.0),
+}
+
+#: ``(policy, discipline, preemptive, power)`` cases run on both
+#: engines: the pinned frontier's loosest and tightest caps, then every
+#: paper policy under each queue shape and power configuration.
+POWERED_GRID = [
+    pytest.param(
+        "proposed", "edf", False, PowerConfig(cap_nj=cap), id=f"{cap}"
+    )
+    for cap in (PINNED_CAPS[0], PINNED_CAPS[-1])
+] + [
+    pytest.param(
+        policy, discipline, preemptive, power,
+        id=f"{policy}-{discipline}-{preemptive}-{label}",
+    )
+    for policy in POLICY_NAMES
+    for discipline, preemptive in (
+        ("fifo", False), ("priority", True), ("edf", True), ("edf", False)
+    )
+    for label, power in POWERED_CONFIGS.items()
+]
 
 
 def _pinned_arrivals():
@@ -153,21 +189,31 @@ class TestPinnedMonotoneFrontier:
                 rel_tol=REL_TOLERANCE, abs_tol=1e-9,
             )
 
-    @pytest.mark.parametrize("cap", (PINNED_CAPS[0], PINNED_CAPS[-1]))
-    def test_reference_and_fast_agree_powered(self, cap, small_store,
-                                              oracle, energy_table):
-        """Engine equivalence holds with the power axis *enabled* too."""
-        ref_sim, ref = _run_pinned(
-            small_store, oracle, energy_table, cap, engine="reference"
-        )
-        fast_sim, fast = _run_pinned(
-            small_store, oracle, energy_table, cap, engine="fast"
-        )
-        assert ref == fast
-        assert (
-            fast_sim.power_pool.state_dict()
-            == ref_sim.power_pool.state_dict()
-        )
+    @pytest.mark.parametrize("policy,discipline,preemptive,power",
+                             POWERED_GRID)
+    def test_reference_and_fast_agree_powered(
+        self, policy, discipline, preemptive, power, small_store, oracle,
+        energy_table,
+    ):
+        """Engine equivalence holds with the power axis *enabled* too:
+        the same result, token account and per-core operating points."""
+        runs = []
+        for engine in ("reference", "fast"):
+            sim = make_simulation(
+                policy, small_store, oracle, energy_table,
+                discipline=discipline, preemptive=preemptive,
+                engine=engine, power=power,
+            )
+            result = sim.run(_pinned_arrivals())
+            runs.append((
+                result,
+                sim.power_pool.state_dict(),
+                [core.dvfs for core in sim.cores],
+            ))
+        ref, fast = runs
+        assert ref[0] == fast[0]
+        assert ref[1] == fast[1]
+        assert ref[2] == fast[2]
 
 
 STREAM_POWER = PowerConfig(

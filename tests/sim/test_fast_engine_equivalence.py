@@ -149,6 +149,31 @@ class TestGoldenGrid:
         assert ref_result == fast_result
         assert ref_result.stall_decisions > 0  # the path was exercised
 
+    @pytest.mark.parametrize("engine", ("reference", "fast"))
+    def test_zero_cycle_estimate_refused(self, engine, store, oracle):
+        # Both engines charge a full run its cycle count as is, so a
+        # zero-cycle estimate is never run as a 1-cycle one: it fails
+        # with a ValueError on every engine.
+        import dataclasses
+
+        from repro.characterization.store import CharacterizationStore
+
+        chars = {name: store.get(name) for name in store.names()}
+        name = SUITE_NAMES[0]
+        chars[name] = dataclasses.replace(chars[name], results={
+            config: dataclasses.replace(
+                result,
+                estimate=dataclasses.replace(result.estimate, total_cycles=0),
+            )
+            for config, result in chars[name].results.items()
+        })
+        sim = make_simulation(
+            "proposed", CharacterizationStore(chars), predictor=oracle,
+            engine=engine,
+        )
+        with pytest.raises(ValueError, match="cycles must be positive"):
+            sim.run(arrivals_for(SUITE_NAMES, gap=30_000))
+
 
 class TestPropertyEquivalence:
     @given(

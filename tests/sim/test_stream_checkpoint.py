@@ -334,3 +334,81 @@ class TestRunSettingsFingerprint:
         other = engine(**{field: RUN_VARIANTS[field]})
         with pytest.raises(ValueError, match=rf"differs in: {field}\)"):
             other.restore(snapshot, _process(specs))
+
+
+def _altered_store(store):
+    """``store`` with one estimate one cycle longer."""
+    import dataclasses
+
+    from repro.characterization.store import CharacterizationStore
+
+    chars = {name: store.get(name) for name in store.names()}
+    name = store.names()[0]
+    char = chars[name]
+    config = max(char.results)
+    result = char.results[config]
+    estimate = dataclasses.replace(
+        result.estimate, total_cycles=result.estimate.total_cycles + 1
+    )
+    results = dict(char.results)
+    results[config] = dataclasses.replace(result, estimate=estimate)
+    chars[name] = dataclasses.replace(char, results=results)
+    return CharacterizationStore(chars)
+
+
+class TestInputFingerprint:
+    """A resume into a different predictor, energy table or store is
+    refused, naming the input, instead of finishing a different run."""
+
+    @pytest.fixture
+    def resume_into(self, store, oracle, energy_table, specs):
+        def engine(inputs):
+            inputs = {
+                "store": store,
+                "predictor": oracle,
+                "energy_table": energy_table,
+                **inputs,
+            }
+            return StreamingSimulation(
+                paper_system(),
+                make_policy("proposed"),
+                inputs.pop("store"),
+                config=StreamConfig(max_jobs=N_JOBS),
+                **inputs,
+            )
+
+        def resume_into(**inputs):
+            donor = engine({})
+            donor.start(_process(specs))
+            donor.advance(max_completions=1)
+            snapshot = json.loads(json.dumps(donor.snapshot()))
+            engine(inputs).restore(snapshot, _process(specs))
+
+        return resume_into
+
+    def test_other_predictor_names_it(self, resume_into):
+        from repro.core.predictor import FixedPredictor
+
+        with pytest.raises(ValueError,
+                           match=r"differs in: predictions_kb\)"):
+            resume_into(predictor=FixedPredictor(2))
+
+    def test_other_energy_table_names_it(self, resume_into):
+        from repro.energy.model import EnergyModel
+        from repro.energy.tables import EnergyTable
+
+        other = EnergyTable(EnergyModel(static_fraction=0.2))
+        with pytest.raises(ValueError,
+                           match=r"differs in: cfg_static_nj\)"):
+            resume_into(energy_table=other)
+
+    def test_altered_store_names_it(self, resume_into, store):
+        with pytest.raises(ValueError,
+                           match=r"differs in: estimates_sha256\)"):
+            resume_into(store=_altered_store(store))
+
+    def test_equal_inputs_resume(self, resume_into, store):
+        resume_into(
+            predictor=build_oracle(store),
+            energy_table=build_energy_table(),
+        )

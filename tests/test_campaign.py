@@ -584,5 +584,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_campaign(store, loads=((10, 0),))
 
+    @pytest.mark.parametrize("grid,named", [
+        ({"seeds": (0, 1, 0)}, "seed 0 is repeated"),
+        ({"policies": ("base", "proposed", "base")},
+         "policy 'base' is repeated"),
+        ({"loads": ((40, 56_000), (40, 56_000))},
+         r"load \(40, 56000\) is repeated"),
+    ])
+    def test_repeated_grid_value_rejected(self, store, grid, named):
+        """A repeat would be aggregated as an independent replication."""
+        with pytest.raises(ValueError, match=named):
+            run_campaign(store, **grid)
+
     def test_reexported_from_experiment(self):
         assert exported is run_campaign

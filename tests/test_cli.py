@@ -575,6 +575,16 @@ class TestStreamCommand:
         assert "~poisson" in out
         assert "replications=2" in out
 
+    def test_campaign_rejects_repeated_seed(self, capsys):
+        code = main([
+            "campaign", "--policies", "base", "--seeds", "0", "0",
+            "--jobs", "20",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "seed 0 is repeated" in err
+
     def test_campaign_stream_rejects_hooks(self, capsys, tmp_path):
         code = main([
             "campaign", "--stream", "poisson", "--jobs", "20",
